@@ -2,8 +2,9 @@
 
 import argparse
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from toric_qh.cli import BUILTIN_NAMES, run_command
 

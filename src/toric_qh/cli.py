@@ -12,6 +12,7 @@ import os
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from time import perf_counter
 
@@ -533,8 +534,12 @@ def _cmd_selfcheck(args):
         rep = betti_crosscheck(p)
         return True, {"betti": list(rep.betti), "hilbert": list(rep.hilbert)}
 
+    @cache  # built on first use and shared; a failed build is retried
+    def quantum_ring():
+        return build_ring(p, "L", "quantum")[0]
+
     def check_seidel():
-        ring, _ = build_ring(p, "L", "quantum")
+        ring = quantum_ring()
         detail = []
         for pc in primitive_collection_data(p):
             detail.append({"indices": list(pc.indices),
@@ -547,8 +552,7 @@ def _cmd_selfcheck(args):
         return verify_psi(pl, pm), None
 
     def check_uniruled():
-        ring, _ = build_ring(p, "L", "quantum")
-        cert = uniruled_certificate(ring)
+        cert = uniruled_certificate(quantum_ring())
         return cert.verdict == "uniruled", {"verdict": cert.verdict}
 
     stages = [("fano_degrees", check_fano),

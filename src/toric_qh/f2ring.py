@@ -64,6 +64,37 @@ def poly_mul(a, b):
     return out
 
 
+def _tmul(a, b):
+    """Product in F2[t] of int bitmasks (bit k is the coefficient of t^k):
+    carry-less, one shift per set bit of the sparser factor."""
+    if a.bit_count() < b.bit_count():
+        a, b = b, a
+    res = 0
+    while b:
+        low = b & -b
+        res ^= a << (low.bit_length() - 1)
+        b ^= low
+    return res
+
+
+def _tdivmod(a, b):
+    """Quotient and remainder of a by b != 0; deg(remainder) < deg(b)."""
+    db = b.bit_length()
+    q = 0
+    while a.bit_length() >= db:
+        shift = a.bit_length() - db
+        a ^= b << shift
+        q |= 1 << shift
+    return q, a
+
+
+def _tdiv_exact(a, b):
+    q, r = _tdivmod(a, b)
+    if r:
+        raise ArithmeticError("inexact division in F2[t]")
+    return q
+
+
 def one(nvars):
     return frozenset({((0,) * nvars, 0)})
 

@@ -14,6 +14,8 @@ from .errors import CrosscheckFailedError, NotInvertibleError
 from .f2ring import (
     QHElement,
     QuotientRing,
+    _tdiv_exact,
+    _tmul,
     buchberger,
     hilbert_function,
     rehomogenize,
@@ -160,63 +162,15 @@ def multiply(ring, a, b):
     return QHElement(acc, hom)
 
 
-def _tmul(a, b):
-    res = 0
-    while b:
-        if b & 1:
-            res ^= a
-        a <<= 1
-        b >>= 1
-    return res
-
-
-def _tdivmod(a, b):
-    q = 0
-    db = b.bit_length()
-    while a.bit_length() >= db:
-        shift = a.bit_length() - db
-        a ^= b << shift
-        q |= 1 << shift
-    return q, a
-
-
-def _tdiv_exact(a, b):
-    q, r = _tdivmod(a, b)
-    if r:
-        raise ArithmeticError("inexact division in F2[t]")
-    return q
-
-
-def _tdet(rows):
-    """Fraction-free determinant of a matrix of F2[t] bitmasks."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    m = [row[:] for row in rows]
-    prev = 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]  # characteristic 2: swaps are free
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = _tmul(m[k][k], m[i][j]) ^ _tmul(m[i][k], m[k][j])
-                m[i][j] = _tdiv_exact(num, prev)
-            m[i][k] = 0
-        prev = m[k][k]
-    return m[n - 1][n - 1]
-
-
 def invert(ring, a):
     """Inverse of a, or NotInvertibleError.
 
     The multiplication matrix over the Laurent ring is cleared to F2[t]
-    by a global t^E; a is a unit iff the cleared determinant is a single
-    power t^k, and Cramer columns then give the inverse exactly.
+    by a global t^E.  One fraction-free Gauss-Jordan pass (Bareiss) over
+    [M | e_0] leaves det M as the last pivot and the Cramer numerators
+    det(M with column j replaced by e_0) in the last column.  a is a unit
+    iff det M is a single power t^k; the numerators then give the inverse
+    exactly, and the product with a is checked against the unit.
     """
     r = ring.dim
     cols = [multiply(ring, a, QHElement({m: frozenset({0})}, ring.cod[m]))
@@ -224,35 +178,44 @@ def invert(ring, a):
     exps = [e for col in cols for s in col.coeffs.values() for e in s]
     big = max(max(exps, default=0), 0)
     index = {m: i for i, m in enumerate(ring.basis)}
-    mat = [[0] * r for _ in range(r)]
+    mat = [[0] * r + [int(i == 0)] for i in range(r)]
     for j, col in enumerate(cols):
         for m, s in col.coeffs.items():
-            bits = 0
-            for e in s:
-                bits |= 1 << (big - e)
-            mat[index[m]][j] = bits
-    d = _tdet(mat)
+            mat[index[m]][j] = sum(1 << (big - e) for e in s)
+    d = 1  # the previous pivot; det M once the pass completes
+    for k in range(r):
+        for i in range(k, r):
+            if mat[i][k]:
+                mat[k], mat[i] = mat[i], mat[k]  # characteristic 2: swaps are free
+                break
+        else:
+            d = 0
+            break
+        pivot_row = mat[k]
+        piv = pivot_row[k]
+        for i in range(r):
+            if i == k:
+                continue
+            row = mat[i]
+            lead = row[k]
+            row[k] = 0
+            for j in range(k + 1, r + 1):
+                num = _tmul(piv, row[j]) if row[j] else 0
+                if lead and pivot_row[j]:
+                    num ^= _tmul(lead, pivot_row[j])
+                row[j] = _tdiv_exact(num, d) if num else 0
+        d = piv
     if d == 0 or d & (d - 1):
-        nterms = bin(d).count("1")
         raise NotInvertibleError(
             "determinant of the multiplication matrix is not a unit "
-            f"({nterms} terms)")
+            f"({d.bit_count()} terms)")
     k = d.bit_length() - 1
     coeffs = {}
-    for j in range(r):
-        mj = [row[:] for row in mat]
-        for i in range(r):
-            mj[i][j] = 1 if i == 0 else 0
-        dj = _tdet(mj)
-        out = set()
-        bit = 0
-        while dj:
-            if dj & 1:
-                out.add(k - big - bit)
-            dj >>= 1
-            bit += 1
+    for m, row in zip(ring.basis, mat):
+        dj = row[r]
+        out = {k - big - b for b in range(dj.bit_length()) if dj >> b & 1}
         if out:
-            coeffs[ring.basis[j]] = out
+            coeffs[m] = out
     hom = None if a.homogeneous_cod is None else -a.homogeneous_cod
     x = QHElement(coeffs, hom)
     if multiply(ring, a, x) != unit(ring):

@@ -11,6 +11,9 @@ from toric_qh.errors import (
 )
 from toric_qh.f2ring import (
     QuotientRing,
+    _tdiv_exact,
+    _tdivmod,
+    _tmul,
     buchberger,
     dehomogenize,
     grevlex_key,
@@ -272,3 +275,32 @@ def test_gb_membership_via_reduction():
         assert reduce_poly(dehomogenize(g), ring.gb.generators) == frozenset()
     for g in ring.generators:
         assert reduce_poly(g, ring.hom_gb.generators) == frozenset()
+
+
+def clmul_schoolbook(a, b):
+    res = 0
+    for k in range(b.bit_length()):
+        if b >> k & 1:
+            res ^= a << k
+    return res
+
+
+f2t_polys = st.integers(0, 2 ** 200)
+f2t_nonzero = st.one_of(st.integers(1, 2 ** 80),
+                        st.integers(0, 80).map(lambda k: 1 << k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(f2t_polys, f2t_nonzero)
+def test_tmul_tdivmod_round_trip(a, b):
+    assert _tmul(a, b) == _tmul(b, a) == clmul_schoolbook(a, b)
+    assert _tdivmod(_tmul(a, b), b) == (a, 0)
+    assert _tdiv_exact(_tmul(a, b), b) == a
+    q, r = _tdivmod(a, b)
+    assert a == _tmul(q, b) ^ r
+    assert r.bit_length() < b.bit_length()
+
+
+def test_tdiv_exact_rejects_inexact():
+    with pytest.raises(ArithmeticError):
+        _tdiv_exact(0b111, 0b11)  # t^2 + t + 1 is irreducible

@@ -24,7 +24,7 @@ from toric_qh.qh import (
     verify_psi,
     verify_seidel_relation,
 )
-from toric_qh.polytope import primitive_collection_data
+from toric_qh.polytope import Polytope, primitive_collection_data
 
 BUILTINS = ("cp1", "cp2", "cp3", "cp4", "cp5", "cp1xcp1", "blowup_cp3")
 
@@ -238,6 +238,71 @@ def test_invert_rejects_zero():
     ring = blowup_ring()
     with pytest.raises(NotInvertibleError):
         invert(ring, QHElement({}, None))
+
+
+def cp_product(*ns):
+    """cp(n_1) x ... x cp(n_k): each factor's facets, normals zero-padded."""
+    dim = sum(ns)
+    facets, off = [], 0
+    for n in ns:
+        for k in range(n + 1):
+            v = [0] * dim
+            if k < n:
+                v[off + k] = 1
+            else:
+                v[off:off + n] = [-1] * n
+            facets.append((tuple(v), 0 if k < n else -1))
+        off += n
+    return Polytope.from_facets(dim, facets)
+
+
+def seidel_power_product(ring, c):
+    """prod_j (X_j q)^c_j for c >= 0, from multiply alone.  seidel_facet is
+    avoided on purpose: it inverts eagerly, and this is an invert oracle."""
+    acc = unit(ring)
+    for j, cj in enumerate(c):
+        exps = [0] * ring.nvars
+        exps[j] = 1
+        s = element_from_monomial(ring, exps, qexp=1)
+        for _ in range(cj):
+            acc = multiply(ring, acc, s)
+    return acc
+
+
+@pytest.mark.parametrize("ns, seed", [((2, 2, 2), 7), ((1, 1, 1, 1), 11),
+                                      ((3, 2), 13)])
+def test_invert_matches_seidel_order_oracle(ns, seed):
+    # in a product of cpN factors every facet element has S_j^(N_j+1) = 1,
+    # so S_c^-1 = S_c' with c'_j = -c_j mod (N_j+1)
+    ring, _ = build_ring(cp_product(*ns))
+    orders = [n + 1 for n in ns for _ in range(n + 1)]
+    rank = 1
+    for n in ns:
+        rank *= n + 1
+    assert ring.dim == rank
+    rng = random.Random(seed)
+    for _ in range(4):
+        c = [rng.randrange(2 * o) for o in orders]
+        c_inv = [-cj % o for cj, o in zip(c, orders)]
+        assert invert(ring, seidel_power_product(ring, c)) == \
+            seidel_power_product(ring, c_inv)
+
+
+def test_invert_facet_involution_rank_64():
+    ring, _ = build_ring(cp_product(*[1] * 6))
+    assert ring.dim == 64
+    s1 = seidel_power_product(ring, [1] + [0] * 11)
+    assert invert(ring, s1) == s1
+
+
+@pytest.mark.parametrize("ns", [(1,), (2, 2, 2)])
+def test_invert_rejects_unit_plus_seidel(ns):
+    # S^(N+1) = 1 gives (1 + S)(1 + S + ... + S^N) = 0: a zero divisor
+    ring, _ = build_ring(cp_product(*ns))
+    for j in range(ring.nvars):
+        c = [int(i == j) for i in range(ring.nvars)]
+        with pytest.raises(NotInvertibleError, match="not a unit"):
+            invert(ring, unit(ring) + seidel_power_product(ring, c))
 
 
 P_MASK = 0b1010001  # X^6 + X^4 + 1, minimal polynomial of the generator
