@@ -536,10 +536,10 @@ def _cmd_selfcheck(args):
 
     @cache  # built on first use and shared; a failed build is retried
     def quantum_ring():
-        return build_ring(p, "L", "quantum")[0]
+        return build_ring(p, "L", "quantum")
 
     def check_seidel():
-        ring = quantum_ring()
+        ring, _ = quantum_ring()
         detail = []
         for pc in primitive_collection_data(p):
             detail.append({"indices": list(pc.indices),
@@ -547,12 +547,12 @@ def _cmd_selfcheck(args):
         return all(e["ok"] for e in detail), detail
 
     def check_psi():
-        _, pl = build_ring(p, "L", "quantum")
+        _, pl = quantum_ring()
         _, pm = build_ring(p, "M", "quantum")
         return verify_psi(pl, pm), None
 
     def check_uniruled():
-        cert = uniruled_certificate(quantum_ring())
+        cert = uniruled_certificate(quantum_ring()[0])
         return cert.verdict == "uniruled", {"verdict": cert.verdict}
 
     stages = [("fano_degrees", check_fano),

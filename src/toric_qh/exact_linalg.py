@@ -1,11 +1,14 @@
 """Exact integer and rational linear algebra.
 
-Everything runs on Python's arbitrary-precision integers and
-``fractions.Fraction``; no floating point anywhere.  Matrices are
-row-major tuples of equal-length integer row tuples.
+Everything runs on Python's arbitrary-precision integers; no floating
+point anywhere.  Eliminations are fraction-free and stay in Z, and
+``fractions.Fraction`` appears only at the edge, where ``solve_rational``
+takes rational right-hand sides and returns rational solutions.
+Matrices are row-major tuples of equal-length integer row tuples.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def mat(rows):
@@ -97,50 +100,75 @@ def kernel_lattice_basis(m):
     return tuple(u[i] for i in range(len(h)) if not any(h[i]))
 
 
+def _gauss_jordan(m, right):
+    """Fraction-free Gauss-Jordan over Z on [m | right] (Bareiss, 1968).
+
+    Returns (det m, det(m) * m^-1 * right), or (0, None) when m is
+    singular.  Every division is exact: after step k each entry is a
+    (k+1)-minor of the working matrix.  A row swap negates one of the
+    two rows, so the working matrix keeps det m and the last pivot is
+    det m itself, sign included.
+    """
+    n = len(m)
+    if n == 0 or len(m[0]) != n:
+        raise ValueError("matrix must be square and nonempty")
+    if len(right) != n:
+        raise ValueError("dimension mismatch")
+    a = [list(row) + list(r) for row, r in zip(m, right)]
+    prev = 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
+        if piv is None:
+            return 0, None
+        if piv != k:
+            a[k], a[piv] = a[piv], [-x for x in a[k]]
+        pk = a[k]
+        p = pk[k]
+        for i in range(n):
+            if i != k:
+                f = a[i][k]
+                a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], pk)]
+        prev = p
+    return prev, [row[n:] for row in a]
+
+
 def solve_rational(m, b):
     """Exact solution x of m*x = b, or None when m is singular.
 
     m must be square and nonempty; b entries may be ints or Fractions.
+    b is scaled to integers by the lcm of its denominators, so the
+    elimination itself runs on integers only.
+    """
+    b = [Fraction(v) for v in b]
+    scale = lcm(*(v.denominator for v in b))
+    d, x = _gauss_jordan(mat(m), [(v.numerator * (scale // v.denominator),)
+                                  for v in b])
+    if not d:
+        return None
+    return tuple(Fraction(row[0], d * scale) for row in x)
+
+
+def adjugate(m):
+    """(det m, adj m), with m * adj m = det(m) * I.
+
+    One elimination gives both for nonsingular m.  For singular m the
+    adjugate is read off its cofactors; it is nonzero only at rank n-1.
     """
     m = mat(m)
     n = len(m)
-    if n == 0 or len(m[0]) != n:
-        raise ValueError("matrix must be square and nonempty")
-    if len(b) != n:
-        raise ValueError("dimension mismatch")
-    a = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(m, b)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        pv = a[col][col]
-        a[col] = [x / pv for x in a[col]]
-        for i in range(n):
-            if i != col and a[i][col]:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[col])]
-    return tuple(row[n] for row in a)
+    d, adj = _gauss_jordan(m, identity(n))
+    if d:
+        return d, mat(adj)
+    if n == 1:
+        return 0, ((1,),)
+    return 0, tuple(
+        tuple((-1) ** (i + j) * det(tuple(r[:i] + r[i + 1:]
+                                          for k, r in enumerate(m) if k != j))
+              for j in range(n))
+        for i in range(n))
 
 
 def det(m):
-    """Exact determinant via fraction-free Bareiss elimination."""
+    """Exact determinant: the last pivot of the fraction-free elimination."""
     m = mat(m)
-    n = len(m)
-    if n == 0 or len(m[0]) != n:
-        raise ValueError("matrix must be square and nonempty")
-    a = [list(r) for r in m]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if piv is None:
-                return 0
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
+    return _gauss_jordan(m, ((),) * len(m))[0]

@@ -23,12 +23,11 @@ from .errors import (
     NonUniqueBatyrevVectorError,
 )
 from .exact_linalg import (
-    det,
+    adjugate,
     hermite_normal_form,
     kernel_lattice_basis,
     mat,
     solve_rational,
-    transpose,
 )
 
 
@@ -92,24 +91,8 @@ def _dot(v, x):
     return sum(a * b for a, b in zip(v, x))
 
 
-def _int_exact(fr):
-    if fr.denominator != 1:
-        raise ArithmeticError(f"expected integer, got {fr}")
-    return fr.numerator
-
-
 def _coords_str(coords):
     return "(" + ", ".join(str(c) for c in coords) + ")"
-
-
-def _edge_dirs(vm):
-    # rows w_j solve vm * w_j = e_j; integral because |det(vm)| = 1
-    n = len(vm)
-    dirs = []
-    for j in range(n):
-        w = solve_rational(vm, tuple(int(j == k) for k in range(n)))
-        dirs.append(tuple(_int_exact(x) for x in w))
-    return tuple(dirs)
 
 
 @lru_cache(maxsize=None)
@@ -118,7 +101,10 @@ def enumerate_vertices(p):
 
     Every dim-subset of facets with invertible normal matrix is solved;
     solutions violating any inequality are dropped; coincident solutions
-    merge, and each kept vertex records its full tight set.
+    merge, and each kept vertex records its full tight set.  A simple
+    vertex's tight normal matrix V gets one integer elimination, which
+    yields det V and adj V; when |det V| = 1, V^-1 = det(V) * adj V is
+    integral and its columns are the edge directions w_j, V * w_j = e_j.
     """
     n, d = p.dim, p.nfacets
     seen = set()
@@ -136,10 +122,10 @@ def enumerate_vertices(p):
                       if _dot(p.normals[i], coords) == p.offsets[i])
         ndet = dirs = None
         if len(tight) == n:
-            vm = mat(p.normals[i - 1] for i in tight)
-            ndet = det(vm)
+            ndet, adj = adjugate(p.normals[i - 1] for i in tight)
             if ndet in (1, -1):
-                dirs = _edge_dirs(vm)
+                dirs = tuple(tuple(ndet * row[j] for row in adj)
+                             for j in range(n))
         out.append(Vertex(coords, tight, ndet, dirs))
     return tuple(out)
 
@@ -241,23 +227,40 @@ def require_delzant(p):
     return report
 
 
+def _mask(indices):
+    """Bitmask of 1-based facet indices: bit i - 1 for facet i."""
+    out = 0
+    for i in indices:
+        out |= 1 << (i - 1)
+    return out
+
+
+def _is_face(mask, tight_masks):
+    return any(mask & t == mask for t in tight_masks)
+
+
 def face_nonempty(p, indices):
     """True iff some vertex is tight on all of ``indices`` (compact simple
     polytopes: every nonempty face contains a vertex)."""
-    want = set(indices)
-    return any(want <= set(v.tight) for v in enumerate_vertices(p))
+    return _is_face(_mask(indices),
+                    [_mask(v.tight) for v in enumerate_vertices(p)])
 
 
 def primitive_collections(p):
-    """Inclusion-minimal facet sets with empty common face, sorted lexicographically."""
-    require_delzant(p)
+    """Inclusion-minimal facet sets with empty common face, sorted lexicographically.
+
+    Each vertex's tight set is a bitmask, computed once; a facet set is a
+    face iff its mask lies inside some vertex's mask.
+    """
+    tight_masks = [_mask(v.tight) for v in require_delzant(p).vertices]
     d = p.nfacets
     out = []
     for size in range(2, d + 1):
         for idx in combinations(range(1, d + 1), size):
-            if face_nonempty(p, idx):
+            mask = _mask(idx)
+            if _is_face(mask, tight_masks):
                 continue
-            if any(not face_nonempty(p, idx[:k] + idx[k + 1:]) for k in range(size)):
+            if any(not _is_face(mask & ~(1 << (i - 1)), tight_masks) for i in idx):
                 continue
             out.append(idx)
     return tuple(sorted(out))
@@ -268,7 +271,9 @@ def batyrev_vector(p, indices):
     whose negative support spans a nonempty face.
 
     w = sum_{i in I} v_i is expanded in every vertex's unimodular normal
-    basis; an expansion with nonnegative coefficients vanishing on I
+    basis v_{i_1}..v_{i_n}; its coefficients are c_k = <w_k, w>, read off
+    the vertex's edge directions (<w_k, v_{i_j}> = delta_kj), with no
+    solve.  An expansion with nonnegative coefficients vanishing on I
     yields a candidate.  Vertex cones cover the fan, so the sweep is an
     exhaustive search over all candidates and certifies uniqueness.
     """
@@ -280,9 +285,7 @@ def batyrev_vector(p, indices):
     w = tuple(sum(p.normals[i - 1][k] for i in iset) for k in range(p.dim))
     found = set()
     for v in report.vertices:
-        cols = transpose(mat(p.normals[i - 1] for i in v.tight))
-        sol = solve_rational(cols, w)
-        c = [_int_exact(x) for x in sol]
+        c = [_dot(wk, w) for wk in v.edge_dirs]
         if any(x < 0 for x in c):
             continue
         if any(c[pos] != 0 for pos, i in enumerate(v.tight) if i in iset):
@@ -313,6 +316,7 @@ def quantum_degree(pc):
     return m
 
 
+@lru_cache(maxsize=None)
 def primitive_collection_data(p):
     """PrimitiveCollection records for every collection of p."""
     out = []

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toric_qh.exact_linalg import (
+    adjugate,
     det,
     hermite_normal_form,
     identity,
@@ -49,6 +50,45 @@ def det_gauss(m):
     for k in range(n):
         out *= rows[k][k]
     return out
+
+
+def solve_gauss(m, b):
+    """Independent oracle: Fraction Gauss-Jordan on [m | b]; None if singular."""
+    n = len(m)
+    rows = [[Fraction(x) for x in r] + [Fraction(v)] for r, v in zip(m, b)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                f = rows[i][k]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return tuple(r[n] for r in rows)
+
+
+def cofactor_gauss(m, i, j):
+    """Independent oracle: (-1)^(i+j) times the minor without row i, column j."""
+    minor = [r[:j] + r[j + 1:] for k, r in enumerate(m) if k != i]
+    return (-1) ** (i + j) * (det_gauss(minor) if minor else 1)
+
+
+def singular_matrices(n):
+    """Square matrices whose last row is an integer combination of the others."""
+    coeffs = st.lists(st.integers(min_value=-2, max_value=2),
+                      min_size=n - 1, max_size=n - 1)
+    rows = st.lists(st.lists(small_entries, min_size=n, max_size=n),
+                    min_size=n - 1, max_size=n - 1)
+    return st.tuples(rows, coeffs).map(lambda rc: mat(rc[0] + [
+        [sum(c * r[j] for c, r in zip(rc[1], rc[0])) for j in range(n)]]))
+
+
+def any_square_matrices():
+    n = st.integers(min_value=1, max_value=5)
+    return n.flatmap(lambda k: st.one_of(square_matrices(k),
+                                         singular_matrices(k)))
 
 
 def hnf_rows(rows, width):
@@ -197,3 +237,59 @@ def test_det_edge_cases():
 def test_transpose_involution():
     m = mat([(1, 2, 3), (4, 5, 6)])
     assert transpose(transpose(m)) == m
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_square_matrices())
+def test_adjugate_matches_cofactor_oracle(m):
+    n = len(m)
+    d, adj = adjugate(m)
+    assert d == det_gauss(m)
+    assert mat_mul(m, adj) == tuple(
+        tuple(d * (i == j) for j in range(n)) for i in range(n))
+    assert adj == tuple(tuple(cofactor_gauss(m, j, i) for j in range(n))
+                        for i in range(n))
+
+
+def test_adjugate_singular_examples():
+    assert adjugate(((1, 2), (2, 4))) == (0, ((4, -2), (-2, 1)))
+    assert adjugate(((0, 0), (0, 0))) == (0, ((0, 0), (0, 0)))
+    # rank n - 2: every cofactor vanishes
+    assert adjugate(((1, 2, 3), (2, 4, 6), (3, 6, 9))) == \
+        (0, ((0, 0, 0), (0, 0, 0), (0, 0, 0)))
+    assert adjugate(((0,),)) == (0, ((1,),))
+
+
+rationals = st.builds(Fraction, st.integers(min_value=-20, max_value=20),
+                      st.integers(min_value=1, max_value=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_square_matrices().flatmap(
+    lambda m: st.tuples(st.just(m), st.lists(
+        st.one_of(rationals, small_entries),
+        min_size=len(m), max_size=len(m)))))
+def test_solve_mixed_denominators_matches_gauss_oracle(case):
+    m, b = case
+    x = solve_rational(m, b)
+    assert x == solve_gauss(m, b)
+    if x is not None:
+        assert all(isinstance(v, Fraction) for v in x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_square_matrices(), st.data())
+def test_row_and_column_swaps_flip_det_sign(m, data):
+    n = len(m)
+    if n < 2:
+        return
+    i, j = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                              min_size=2, max_size=2, unique=True))
+    rows = list(m)
+    rows[i], rows[j] = rows[j], rows[i]
+    assert det(rows) == -det(m)
+    assert det(transpose(rows)) == -det(m)
+    cols = [list(r) for r in m]
+    for r in cols:
+        r[i], r[j] = r[j], r[i]
+    assert det(cols) == -det(m)

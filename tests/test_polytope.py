@@ -409,3 +409,114 @@ def test_lattice_change_of_basis_invariance(ops, name):
               for j in range(p.dim))
         for v in enumerate_vertices(p))
     assert got == want
+
+
+def _cp_facets(n):
+    """Inward facets of the standard CP^n simplex: x_k >= 0, -sum x >= -1."""
+    return [(tuple(int(i == k) for i in range(n)), 0) for k in range(n)] + \
+        [((-1,) * n, -1)]
+
+
+BLOWUP_CP3_FACETS = [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0),
+                     ((0, 0, -1), frac(-1, 2)), ((-1, -1, -1), -1)]
+
+
+def _product(*factors):
+    """Product polytope: each factor's normals padded with zeros."""
+    dims = [len(fs[0][0]) for fs in factors]
+    normals, offsets = [], []
+    for k, fs in enumerate(factors):
+        before, after = sum(dims[:k]), sum(dims[k + 1:])
+        for v, a in fs:
+            normals.append((0,) * before + v + (0,) * after)
+            offsets.append(Fraction(a))
+    return Polytope(sum(dims), tuple(normals), tuple(offsets))
+
+
+PRODUCTS = {
+    "cp1^3": lambda: _product(_cp_facets(1), _cp_facets(1), _cp_facets(1)),
+    "cp2xcp2": lambda: _product(_cp_facets(2), _cp_facets(2)),
+    "blowup_cp3xcp1": lambda: _product(BLOWUP_CP3_FACETS, _cp_facets(1)),
+    "cp2^3": lambda: _product(_cp_facets(2), _cp_facets(2), _cp_facets(2)),
+    "cp8": lambda: _product(_cp_facets(8)),
+}
+
+
+def _solve_gauss(m, b):
+    """Fraction Gauss-Jordan solve of m x = b; None if m is singular."""
+    n = len(m)
+    rows = [[Fraction(x) for x in r] + [Fraction(v)] for r, v in zip(m, b)]
+    for k in range(n):
+        piv = next((i for i in range(k, n) if rows[i][k]), None)
+        if piv is None:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        rows[k] = [x / rows[k][k] for x in rows[k]]
+        for i in range(n):
+            if i != k and rows[i][k]:
+                f = rows[i][k]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
+    return tuple(r[n] for r in rows)
+
+
+def _pair(v, x):
+    return sum(a * b for a, b in zip(v, x))
+
+
+def _oracle_tight_sets(p):
+    """Vertex -> tight set, from a plain Fraction sweep over facet subsets."""
+    verts = set()
+    for subset in itertools.combinations(range(len(p.normals)), p.dim):
+        x = _solve_gauss([p.normals[i] for i in subset],
+                         [p.offsets[i] for i in subset])
+        if x is not None and all(_pair(v, x) >= a
+                                 for v, a in zip(p.normals, p.offsets)):
+            verts.add(x)
+    return {x: {i + 1 for i, (v, a) in enumerate(zip(p.normals, p.offsets))
+                if _pair(v, x) == a}
+            for x in verts}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_products_match_set_based_oracle(name):
+    p = PRODUCTS[name]()
+    d, n = len(p.normals), p.dim
+    tight = _oracle_tight_sets(p)
+    verts = enumerate_vertices(p)
+    assert {v.coords: set(v.tight) for v in verts} == tight
+
+    # edge directions: V * w_j = e_j with V the tight normal rows
+    for v in verts:
+        for j, w in enumerate(v.edge_dirs):
+            assert [_pair(p.normals[i - 1], w) for i in v.tight] == \
+                [int(k == j) for k in range(n)]
+
+    # minimal non-faces, with faces read from the oracle's tight sets
+    def is_face(s):
+        return any(s <= t for t in tight.values())
+
+    want = sorted(
+        s for size in range(2, d + 1)
+        for s in itertools.combinations(range(1, d + 1), size)
+        if not is_face(set(s))
+        and all(is_face(set(s) - {i}) for i in s))
+    assert list(primitive_collections(p)) == want
+
+    # Batyrev vectors: solve V^T c = sum_{i in I} v_i at every vertex
+    for idx in want:
+        w = [sum(p.normals[i - 1][k] for i in idx) for k in range(n)]
+        found = set()
+        for t in tight.values():
+            cols = sorted(t)
+            c = _solve_gauss([[p.normals[i - 1][k] for i in cols]
+                              for k in range(n)], w)
+            assert all(x.denominator == 1 for x in c)  # unimodular cone
+            if any(x < 0 for x in c) or any(c[pos] for pos, i in
+                                            enumerate(cols) if i in idx):
+                continue
+            a = [1 if i in idx else 0 for i in range(1, d + 1)]
+            for pos, i in enumerate(cols):
+                if c[pos]:
+                    a[i - 1] = -c[pos].numerator
+            found.add(tuple(a))
+        assert found == {batyrev_vector(p, idx)}
