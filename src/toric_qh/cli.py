@@ -588,13 +588,15 @@ _HANDLERS = {
 }
 
 
+@cache
 def _build_parser():
-    env_fmt = os.environ.get("TORIC_QH_FORMAT", "text")
+    """The argument parser, built once per process.  ``--format`` defaults
+    to None, so ``run_command`` reads TORIC_QH_FORMAT on every call."""
     parser = argparse.ArgumentParser(
         prog="toric-qh",
         description="Exact quantum homology of Fano toric manifolds and "
                     "their real Lagrangians from moment polytope data.")
-    parser.add_argument("--format", default=env_fmt,
+    parser.add_argument("--format", default=None,
                         help="output format: text or json "
                              "(default from TORIC_QH_FORMAT)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -752,6 +754,8 @@ def run_command(argv, out=None):
         code = exc.code
         return code if isinstance(code, int) else 2
     fmt = args.format
+    if fmt is None:
+        fmt = os.environ.get("TORIC_QH_FORMAT", "text")
     if fmt not in ("text", "json"):
         print(f"toric-qh: invalid format {fmt!r} (use text or json)",
               file=sys.stderr)

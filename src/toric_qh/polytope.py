@@ -9,11 +9,12 @@ The internal facet convention is inward: the polytope is
 pi-units.  Facet indices are 1-based everywhere they are reported.
 """
 
+from bisect import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     DelzantError,
@@ -95,39 +96,136 @@ def _coords_str(coords):
     return "(" + ", ".join(str(c) for c in coords) + ")"
 
 
+def _feasible_points(p):
+    """Solutions of the nonsingular dim-subsets of facet equations that
+    satisfy every inequality, in ``combinations`` order, with repeats."""
+    for subset in combinations(range(p.nfacets), p.dim):
+        x = solve_rational(mat(p.normals[i] for i in subset),
+                           tuple(p.offsets[i] for i in subset))
+        if x is not None and all(_dot(v, x) >= a
+                                 for v, a in zip(p.normals, p.offsets)):
+            yield x
+
+
+def _vertex(p, coords):
+    """The Vertex at ``coords``, with its full tight set.
+
+    A simple vertex's tight normal matrix V gets one integer elimination,
+    which yields det V and adj V; when |det V| = 1, V^-1 = det(V) * adj V
+    is integral and its columns are the edge directions w_j, V * w_j = e_j.
+    """
+    tight = tuple(i + 1 for i, (v, a) in enumerate(zip(p.normals, p.offsets))
+                  if _dot(v, coords) == a)
+    ndet = dirs = None
+    if len(tight) == p.dim:
+        ndet, adj = adjugate(p.normals[i - 1] for i in tight)
+        if ndet in (1, -1):
+            dirs = tuple(tuple(ndet * row[j] for row in adj)
+                         for j in range(p.dim))
+    return Vertex(coords, tight, ndet, dirs)
+
+
+def _sweep_vertices(p):
+    """Vertices by solving every dim-subset of facets; coincident solutions
+    merge.  Handles any input, so it is the edge walk's fallback."""
+    return tuple(_vertex(p, x) for x in sorted(set(_feasible_points(p))))
+
+
+@lru_cache(maxsize=None)
+def _walk_vertices(p):
+    """Vertices by walking the edges of a simple unimodular polytope, or
+    None when the walk cannot vouch for its answer.
+
+    Avis-Fukuda pivoting (DCG 8, 1992), kept in integers: with L the lcm
+    of the offset denominators, a vertex carries X = L*x, the slacks
+    <v_k, X> - L*a_k and the pairings r_jk = <v_k, w_j> with its edge
+    directions.  Leaving along w_i, the first facet k to block it (least
+    slack_k / -r_ik over r_ik < 0, by cross-multiplication) swaps in for
+    facet i.  Since det V' = det(V) * r_ik (determinant lemma), the next
+    vertex is unimodular iff r_ik = -1, and then the step is slack_k and
+    the pivot is rank one: w'_i = -w_i, w'_j = w_j + r_jk * w_i, and the
+    same for the pairings.  Returns None, so that the caller falls back
+    to the sweep, when the start vertex is not simple and unimodular, an
+    edge has no blocking facet (unbounded), the ratio test ties (the next
+    vertex is not simple) or r_ik != -1 (not unimodular).
+    """
+    start = next(_feasible_points(p), None)
+    if start is None:
+        return None
+    first = _vertex(p, start)
+    if first.edge_dirs is None:
+        return None
+    n, d = p.dim, p.nfacets
+    scale = lcm(*(a.denominator for a in p.offsets))
+    xs = [int(c * scale) for c in start]
+    slack = [_dot(v, xs) - int(a * scale) for v, a in zip(p.normals, p.offsets)]
+    dirs = [list(w) for w in first.edge_dirs]
+    pairs = [[_dot(v, w) for v in p.normals] for w in dirs]
+    todo = [([i - 1 for i in first.tight], first.normal_det, xs, slack, dirs, pairs)]
+    seen = {_mask(first.tight)}
+    # edges by their n-1 tight facets: an edge is walked from one end only,
+    # since from the other end its ratio test blocks at the (simple) first
+    # end, uniquely and with r = -1
+    followed = set()
+    out = [first]
+    while todo:
+        tight, vdet, xs, slack, dirs, pairs = todo.pop()
+        mask = _mask(i + 1 for i in tight)
+        for i in range(n):
+            edge = mask & ~(1 << tight[i])
+            if edge in followed:
+                continue
+            followed.add(edge)
+            r = pairs[i]
+            k, tie = None, False
+            for j in range(d):
+                if r[j] < 0:
+                    if k is None or slack[j] * -r[k] < slack[k] * -r[j]:
+                        k, tie = j, False
+                    elif slack[j] * -r[k] == slack[k] * -r[j]:
+                        tie = True
+            if k is None or tie or r[k] != -1:
+                return None
+            if edge | 1 << k in seen:
+                continue
+            seen.add(edge | 1 << k)
+            step, wi = slack[k], dirs[i]
+            ndirs = [[a + rj[k] * b for a, b in zip(w, wi)]
+                     for w, rj in zip(dirs, pairs)]
+            npairs = [[a + rj[k] * b for a, b in zip(rj, r)] for rj in pairs]
+            # facet k takes position i, where det V' = -det V, then moves
+            # to its sorted position; each place it passes flips the sign
+            ntight = tight[:i] + tight[i + 1:]
+            pos = bisect(ntight, k)
+            ntight.insert(pos, k)
+            del ndirs[i], npairs[i]
+            ndirs.insert(pos, [-b for b in wi])
+            npairs.insert(pos, [-b for b in r])
+            nxs = [a + step * b for a, b in zip(xs, wi)]
+            nvdet = vdet if (pos - i) % 2 else -vdet
+            todo.append((ntight, nvdet, nxs,
+                         [a + step * b for a, b in zip(slack, r)], ndirs, npairs))
+            out.append(Vertex(tuple(Fraction(c, scale) for c in nxs),
+                              tuple(t + 1 for t in ntight), nvdet,
+                              tuple(tuple(w) for w in ndirs)))
+    return tuple(sorted(out, key=lambda v: v.coords))
+
+
 @lru_cache(maxsize=None)
 def enumerate_vertices(p):
     """All vertices, deterministically ordered by coordinates.
 
-    Every dim-subset of facets with invertible normal matrix is solved;
-    solutions violating any inequality are dropped; coincident solutions
-    merge, and each kept vertex records its full tight set.  A simple
-    vertex's tight normal matrix V gets one integer elimination, which
-    yields det V and adj V; when |det V| = 1, V^-1 = det(V) * adj V is
-    integral and its columns are the edge directions w_j, V * w_j = e_j.
+    A simple polytope whose vertices are all unimodular is enumerated by
+    an edge walk from its first vertex (``_walk_vertices``), with work
+    proportional to its edges rather than to the C(d, n) facet subsets.
+    Any other input falls back to the sweep over every dim-subset
+    (``_sweep_vertices``), so reports on rejected inputs are unchanged.
+    Each vertex records its full tight set, and, when simple, det V of
+    its tight normal matrix; when |det V| = 1 also its edge directions
+    w_j, the columns of V^-1 (V * w_j = e_j).
     """
-    n, d = p.dim, p.nfacets
-    seen = set()
-    for subset in combinations(range(d), n):
-        x = solve_rational(mat(p.normals[i] for i in subset),
-                           tuple(p.offsets[i] for i in subset))
-        if x is None:
-            continue
-        if any(_dot(v, x) < a for v, a in zip(p.normals, p.offsets)):
-            continue
-        seen.add(x)
-    out = []
-    for coords in sorted(seen):
-        tight = tuple(i + 1 for i in range(d)
-                      if _dot(p.normals[i], coords) == p.offsets[i])
-        ndet = dirs = None
-        if len(tight) == n:
-            ndet, adj = adjugate(p.normals[i - 1] for i in tight)
-            if ndet in (1, -1):
-                dirs = tuple(tuple(ndet * row[j] for row in adj)
-                             for j in range(n))
-        out.append(Vertex(coords, tight, ndet, dirs))
-    return tuple(out)
+    walked = _walk_vertices(p)
+    return _sweep_vertices(p) if walked is None else walked
 
 
 def _rank(rows):
@@ -179,7 +277,14 @@ def _recession_ray(p):
 
 @lru_cache(maxsize=None)
 def validate_delzant(p):
-    """Full Delzant check; returns a report, never raises."""
+    """Full Delzant check; returns a report, never raises.
+
+    Checks, in order: primitive nonzero normals; a vertex exists (else
+    empty, or unbounded along a line); bounded; every vertex simple and
+    unimodular; every facet tight somewhere.  When the edge walk
+    enumerated the vertices it has already certified boundedness and
+    the simple unimodular cones, and only the facet cover is left.
+    """
     n, d = p.dim, p.nfacets
     reasons = []
     for i, v in enumerate(p.normals):
@@ -196,7 +301,11 @@ def validate_delzant(p):
         else:
             reasons.append("RejectEmpty: no point satisfies all facet inequalities")
         return DelzantReport(False, tuple(reasons), (), (), ())
-    ray = _recession_ray(p)
+    # A completed edge walk left every vertex along bounded edges only.
+    # The region is pointed (it has a vertex), and on a pointed polyhedron
+    # an unbounded linear objective always leaves some vertex along an
+    # unbounded edge, so the polytope is bounded: _recession_ray is None.
+    ray = None if _walk_vertices(p) is not None else _recession_ray(p)
     if ray is not None:
         reasons.append(f"RejectUnbounded: recession direction {ray}")
         return DelzantReport(False, tuple(reasons), verts,
@@ -235,35 +344,36 @@ def _mask(indices):
     return out
 
 
-def _is_face(mask, tight_masks):
-    return any(mask & t == mask for t in tight_masks)
-
-
 def face_nonempty(p, indices):
     """True iff some vertex is tight on all of ``indices`` (compact simple
     polytopes: every nonempty face contains a vertex)."""
-    return _is_face(_mask(indices),
-                    [_mask(v.tight) for v in enumerate_vertices(p)])
+    mask = _mask(indices)
+    return any(mask & _mask(v.tight) == mask for v in enumerate_vertices(p))
 
 
 def primitive_collections(p):
     """Inclusion-minimal facet sets with empty common face, sorted lexicographically.
 
-    Each vertex's tight set is a bitmask, computed once; a facet set is a
-    face iff its mask lies inside some vertex's mask.
+    A facet set is a face iff it lies inside some vertex's tight set T_v,
+    so the non-faces are the sets meeting every complement [d] \\ T_v and
+    the primitive collections are the minimal such transversals.  Berge's
+    incremental dualization (Hypergraphs, 1989) builds them on bitmasks,
+    one complement C at a time: transversals meeting C are kept, each
+    other one grows by one element of C, and a grown set containing a
+    kept one is dropped.  The work follows the number of collections
+    (one for cpN), not the 2^d facet subsets.
     """
-    tight_masks = [_mask(v.tight) for v in require_delzant(p).vertices]
     d = p.nfacets
-    out = []
-    for size in range(2, d + 1):
-        for idx in combinations(range(1, d + 1), size):
-            mask = _mask(idx)
-            if _is_face(mask, tight_masks):
-                continue
-            if any(not _is_face(mask & ~(1 << (i - 1)), tight_masks) for i in idx):
-                continue
-            out.append(idx)
-    return tuple(sorted(out))
+    full = (1 << d) - 1
+    found = [0]
+    for v in require_delzant(p).vertices:
+        comp = full & ~_mask(v.tight)
+        kept = [t for t in found if t & comp]
+        grown = [t | 1 << e for t in found if not t & comp
+                 for e in range(d) if comp >> e & 1]
+        found = kept + [g for g in grown if not any(k & g == k for k in kept)]
+    return tuple(sorted(tuple(i + 1 for i in range(d) if t >> i & 1)
+                        for t in found))
 
 
 def batyrev_vector(p, indices):

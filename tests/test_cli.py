@@ -7,6 +7,7 @@ import pytest
 from toric_qh.cli import (
     BUILTIN_NAMES,
     DisplayMap,
+    _build_parser,
     builtin_polytope,
     load_polytope,
     parse_element,
@@ -233,6 +234,26 @@ def test_invalid_format_rejected(monkeypatch):
     monkeypatch.setenv("TORIC_QH_FORMAT", "yaml")
     code = run_command(["validate", "cp2"], out=io.StringIO())
     assert code == 2
+
+
+def test_format_environment_read_on_every_call(monkeypatch):
+    # the parser is built once per process, so the environment must be
+    # read by each call, not baked into the parser's default
+    assert _build_parser() is _build_parser()
+    monkeypatch.setenv("TORIC_QH_FORMAT", "json")
+    code, out = run(["validate", "cp2"])
+    assert code == 0 and json.loads(out)["valid"] is True
+    monkeypatch.setenv("TORIC_QH_FORMAT", "text")
+    code, out = run(["validate", "cp2"])
+    assert (code, out) == (0, "cp2: VALID (3 vertices)\n")
+    monkeypatch.setenv("TORIC_QH_FORMAT", "json")
+    code, out = run(["validate", "cp2"])
+    assert json.loads(out)["vertex_count"] == 3
+    monkeypatch.delenv("TORIC_QH_FORMAT")
+    code, out = run(["validate", "cp2"])
+    assert out == "cp2: VALID (3 vertices)\n"
+    assert run_command(["--format", "", "validate", "cp2"],
+                       out=io.StringIO()) == 2
 
 
 def test_usage_errors_exit_two():

@@ -13,10 +13,14 @@ from toric_qh.errors import (
     NoBatyrevVectorError,
     NonGenericXiError,
 )
-from toric_qh.exact_linalg import mat, mat_mul, transpose
+from toric_qh.exact_linalg import det, mat, mat_mul, transpose
 from toric_qh.polytope import (
     Polytope,
     PrimitiveCollection,
+    _feasible_points,
+    _recession_ray,
+    _sweep_vertices,
+    _walk_vertices,
     batyrev_vector,
     betti_numbers_L,
     enumerate_vertices,
@@ -520,3 +524,139 @@ def test_products_match_set_based_oracle(name):
                     a[i - 1] = -c[pos].numerator
             found.add(tuple(a))
         assert found == {batyrev_vector(p, idx)}
+
+
+def _translate(p, shift):
+    """p + shift: <v, x - s> >= a  iff  <v, x> >= a + <v, s>."""
+    return Polytope(p.dim, p.normals,
+                    tuple(Fraction(a) + _pair(v, shift)
+                          for v, a in zip(p.normals, p.offsets)))
+
+
+def _change_basis(p, rng):
+    """p under a seeded unimodular change of lattice basis."""
+    ops = [(rng.randint(0, 1), rng.randrange(p.dim), rng.randrange(p.dim),
+            rng.randint(-2, 2)) for _ in range(4)]
+    _, uinv = unimodular_ops(ops, p.dim)
+    return Polytope(p.dim, mat_mul(mat(p.normals), transpose(uinv)), p.offsets)
+
+
+def _walk_corpus():
+    """Translates and changes of basis of cp1..cp12, products, blowups."""
+    bases = {f"cp{n}": builtin_polytope(f"cp{n}") for n in range(1, 13)}
+    bases.update((name, builtin_polytope(name))
+                 for name in ("cp1xcp1", "blowup_cp3"))
+    bases.update((name, build()) for name, build in PRODUCTS.items())
+    bases.update({
+        "blowup_cp3^2": _product(BLOWUP_CP3_FACETS, BLOWUP_CP3_FACETS),
+        "blowup_cp3xcp2": _product(BLOWUP_CP3_FACETS, _cp_facets(2)),
+        "cp1^2xcp2": _product(_cp_facets(1), _cp_facets(1), _cp_facets(2)),
+        "hirzebruch2": HIRZEBRUCH2,
+    })
+    rng = random.Random(4)
+    out = {}
+    for name, p in bases.items():
+        out[name] = p
+        for k in range(2):
+            shift = [Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))
+                     for _ in range(p.dim)]
+            out[f"{name}+t{k}"] = _translate(p, shift)
+            out[f"{name}*u{k}+t{k}"] = _translate(_change_basis(p, rng), shift)
+    return out
+
+
+WALK_CORPUS = _walk_corpus()
+
+
+@pytest.mark.parametrize("name", WALK_CORPUS)
+def test_walk_matches_sweep(name):
+    p = WALK_CORPUS[name]
+    walked = _walk_vertices(p)
+    assert walked is not None
+    swept = _sweep_vertices(p)
+    for field in ("coords", "tight", "normal_det", "edge_dirs"):
+        assert [getattr(v, field) for v in walked] == \
+            [getattr(v, field) for v in swept], field
+    n = p.dim
+    for v in walked:
+        rows = [p.normals[i - 1] for i in v.tight]
+        assert v.normal_det == det(rows)
+        for j, w in enumerate(v.edge_dirs):
+            assert [_pair(r, w) for r in rows] == [int(k == j) for k in range(n)]
+    # the walk certifies boundedness, so validation skips the ray search
+    assert _recession_ray(p) is None
+    assert validate_delzant(p).ok
+
+
+@pytest.mark.parametrize("p, reasons", [
+    (Polytope.from_facets(3, [
+        ((0, 0, 1), 0), ((-1, 0, -1), -1), ((1, 0, -1), -1),
+        ((0, -1, -1), -1), ((0, 1, -1), -1)]),
+     ("RejectNonSimple: vertex (0, 0, 1) has 4 tight facets, expected 3",)),
+    (Polytope(2, ((1, 0), (-1, 0), (1, 2), (0, -1)), (0, -1, 0, -1)),
+     ("RejectNonUnimodular: vertex (0, 0) has |det| = 2",
+      "RejectNonUnimodular: vertex (1, -1/2) has |det| = 2")),
+    # the same square with a unimodular first vertex, (0, 1): the walk
+    # starts, and falls back at the first pivot with r = -2
+    (Polytope(2, ((1, 0), (0, -1), (-1, 0), (1, 2)), (0, -1, -1, 0)),
+     ("RejectNonUnimodular: vertex (0, 0) has |det| = 2",
+      "RejectNonUnimodular: vertex (1, -1/2) has |det| = 2")),
+    # a triangle with a fourth facet through its corner (0, 0): the walk
+    # starts at (0, 1), and the ratio test toward (0, 0) ties between two
+    # facets that each give a unimodular cone
+    (Polytope(2, ((1, 0), (-1, -1), (0, 1), (1, 1)), (0, -1, 0, 0)),
+     ("RejectNonSimple: vertex (0, 0) has 3 tight facets, expected 2",)),
+    (Polytope(2, ((1, 0), (0, 1)), (0, 0)),
+     ("RejectUnbounded: recession direction (0, 1)",)),
+], ids=("pyramid", "det2-square", "det2-square-reordered", "tied-corner",
+        "quadrant"))
+def test_walk_falls_back_on_rejected_inputs(p, reasons):
+    assert _walk_vertices(p) is None
+    assert enumerate_vertices(p) == _sweep_vertices(p)
+    assert validate_delzant(p).reasons == reasons
+
+
+def test_walk_falls_back_on_non_simple_start():
+    # the first three facets meet at the apex, where four are tight
+    p = Polytope.from_facets(3, [
+        ((-1, 0, -1), -1), ((1, 0, -1), -1), ((0, -1, -1), -1),
+        ((0, 1, -1), -1), ((0, 0, 1), 0)])
+    assert next(_feasible_points(p)) == (0, 0, 1)
+    assert _walk_vertices(p) is None
+    assert validate_delzant(p).reasons == (
+        "RejectNonSimple: vertex (0, 0, 1) has 4 tight facets, expected 3",)
+
+
+def test_walk_keeps_redundant_facet_report():
+    p = Polytope(2, ((1, 0), (0, 1), (-1, -1), (1, 1)), (0, 0, -1, -5))
+    assert _walk_vertices(p) == _sweep_vertices(p)
+    assert _walk_vertices(p) is not None
+    assert validate_delzant(p).reasons == (
+        "RejectRedundantFacet: facet 4 is tight at no vertex",)
+
+
+def _brute_primitive_collections(tight_sets, d):
+    """Minimal non-faces over Python sets: all subsets, no bitmasks."""
+    faces = [set(t) for t in tight_sets]
+
+    def is_face(s):
+        return any(s <= t for t in faces)
+
+    return tuple(sorted(
+        s for size in range(2, d + 1)
+        for s in itertools.combinations(range(1, d + 1), size)
+        if not is_face(set(s)) and all(is_face(set(s) - {i}) for i in s)))
+
+
+@pytest.mark.parametrize("name", [name for name, p in WALK_CORPUS.items()
+                                  if p.nfacets <= 12])
+def test_dualization_matches_brute_force(name):
+    p = WALK_CORPUS[name]
+    tight = _oracle_tight_sets(p)
+    assert primitive_collections(p) == \
+        _brute_primitive_collections(tight.values(), p.nfacets)
+
+
+def test_primitive_collections_cp40():
+    assert primitive_collections(builtin_polytope("cp40")) == \
+        (tuple(range(1, 42)),)
