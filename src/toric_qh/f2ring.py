@@ -12,7 +12,10 @@ bases and keeps every output deterministic.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
+from operator import lshift
 
 from .errors import InfiniteDimensionalError, NonHomogeneousGeneratorError
 
@@ -36,11 +39,6 @@ def mono_mul(a, b):
 def mono_divides(a, b):
     """True iff a divides b."""
     return a[1] <= b[1] and all(x <= y for x, y in zip(a[0], b[0]))
-
-
-def mono_div(b, a):
-    """b / a; caller guarantees divisibility."""
-    return (tuple(y - x for x, y in zip(a[0], b[0])), b[1] - a[1])
 
 
 def grevlex_key(m):
@@ -114,6 +112,12 @@ def is_homogeneous(f):
     return len({mono_cod(m) for m in f}) <= 1
 
 
+def _require_homogeneous(g):
+    if not is_homogeneous(g):
+        raise NonHomogeneousGeneratorError(
+            f"generator {sorted(g)} is not homogeneous in the cod grading")
+
+
 def dehomogenize(f):
     """Set t = 1; colliding monomials cancel in pairs."""
     out = frozenset()
@@ -122,33 +126,113 @@ def dehomogenize(f):
     return out
 
 
-def s_poly(f, g):
-    lf, lg = lm(f), lm(g)
-    lcm = (tuple(max(x, y) for x, y in zip(lf[0], lg[0])), max(lf[1], lg[1]))
-    return poly_mul(frozenset({mono_div(lcm, lf)}), f) ^ \
-        poly_mul(frozenset({mono_div(lcm, lg)}), g)
+class _Packing:
+    """Monomials of F2[X_1..X_d, t] of degree at most cap as ints.
 
-
-def reduce_poly(f, gens, chooser=None):
-    """Full normal form of f modulo gens.
-
-    chooser picks the next (monomial, generator index) reduction from the
-    candidate list (sorted by descending monomial, ascending index);
-    default takes the first.  The result is chooser-independent once gens
-    is a Groebner basis, which the confluence tests exercise.
+    With n = d + 1 exponents e_1..e_n (e_n the power of t), a monomial
+    takes 2n fields of w bits.  The low n fields hold e_1..e_n, e_i at bit
+    (i-1)*w.  The high n fields hold the prefix sums P_k = e_1 + ... + e_k,
+    the degree P_n topmost.  For equal degree, grevlex (X_1 > ... > X_d > t)
+    favours the monomial whose prefix sums are larger, compared from
+    P_{n-1} down, so comparing packed ints compares monomials.  Both halves
+    are additive: a product of monomials is a sum of ints, a quotient a
+    difference.  Every field stays at most cap = 2^(w-1) - 1; the spare top
+    bit of each low field is a guard that b - a sets exactly where an
+    exponent of a exceeds that of b, so a | b iff (b - a) & guard == 0.
     """
-    gens = [g for g in gens if g]
-    lms = [lm(g) for g in gens]
-    cur = f
-    while True:
-        cands = [(m, k) for m in cur for k, l in enumerate(lms)
-                 if mono_divides(l, m)]
-        if not cands:
-            return cur
-        cands.sort(key=lambda c: (grevlex_key(c[0]), -c[1]), reverse=True)
-        m, k = cands[0] if chooser is None else chooser(cands)
-        q = frozenset({mono_div(m, lms[k])})
-        cur ^= poly_mul(q, gens[k])
+
+    def __init__(self, nvars, cap):
+        n = nvars + 1
+        w = max(cap, 1).bit_length() + 1
+        self.width = w
+        self.cap = (1 << (w - 1)) - 1
+        self.field = (1 << w) - 1
+        self.shifts = tuple(range(0, n * w, w))
+        self.low = (1 << (n * w)) - 1
+        self.mask = (1 << (2 * n * w)) - 1
+        self.guard = sum(1 << (s + w - 1) for s in self.shifts)
+        # ex * spread copies the exponent fields into the high half while
+        # accumulating them, field k+n summing fields 0..k
+        self.spread = 1 + sum(1 << (k * w) for k in range(n, 2 * n))
+        self.deg_shift = (2 * n - 1) * w
+
+    def encode(self, m):
+        exps, tdeg = m
+        ex = sum(map(lshift, exps + (tdeg,), self.shifts))
+        return ex * self.spread & self.mask
+
+    def decode(self, p):
+        fields = [(p >> s) & self.field for s in self.shifts]
+        return tuple(fields[:-1]), fields[-1]
+
+    def encode_poly(self, f):
+        """Terms of f as packed ints, leading term first."""
+        return sorted(map(self.encode, f), reverse=True)
+
+    def decode_poly(self, terms):
+        return frozenset(map(self.decode, terms))
+
+    def degree(self, p):
+        return p >> self.deg_shift
+
+    def lcm(self, a, b):
+        low, guard = self.low, self.guard
+        ea, eb = a & low, b & low
+        wins = ((ea | guard) - eb) & guard  # guard bits where a_i >= b_i
+        take_a = wins - (wins >> (self.width - 1))
+        ex = (ea & take_a) | (eb & ~take_a)
+        return ex * self.spread & self.mask
+
+
+class _Overflow(Exception):
+    """A product needs wider fields; args[0] is the degree to fit."""
+
+
+def _top_degree(polys):
+    return max((mono_cod(m) for f in polys for m in f), default=0)
+
+
+class _Divisors:
+    """Nonzero polynomials packed for reduction, in fields that hold
+    degree cap: leading terms lms and remaining terms tails, descending."""
+
+    def __init__(self, polys, nvars, cap):
+        self.pk = pk = _Packing(nvars, cap)
+        packed = [pk.encode_poly(g) for g in polys]
+        self.lms = [p[0] for p in packed]
+        self.tails = [p[1:] for p in packed]
+
+
+def _reduce(work, lms, tails, guard):
+    """Normal form of the packed term set work (consumed) modulo the
+    generators with leading terms lms and remaining terms tails.
+
+    Terms leave in descending order: the largest left is reduced by the
+    first generator whose leading term divides it, or else is final, since
+    every later term is smaller.  Returns the final terms, descending.
+    """
+    heap = [-m for m in work]
+    heapify(heap)
+    out = []
+    while heap:
+        m = -heappop(heap)
+        if m not in work:  # cancelled, or a duplicate of a reduced term
+            continue
+        work.remove(m)
+        for k, lead in enumerate(lms):
+            q = m - lead
+            if not q & guard:
+                for x in tails[k]:
+                    x += q
+                    if x in work:
+                        work.remove(x)
+                    else:
+                        work.add(x)
+                        heappush(heap, -x)
+                break
+        else:
+            out.append(m)
+    return out
 
 
 @dataclass(frozen=True)
@@ -158,16 +242,96 @@ class GroebnerBasis:
     reduced: bool
     nvars: int
 
+    @cached_property
+    def _divisors(self):
+        """The generators packed once for every reduce_poly on this basis,
+        with room for inputs of twice their degree."""
+        return _Divisors(self.generators, self.nvars,
+                         2 * _top_degree(self.generators))
 
-def _minimalize(basis):
-    # ascending by leading monomial; a kept LM can then only divide later ones
-    srt = sorted(basis, key=lambda g: grevlex_key(lm(g)))
+
+def reduce_poly(f, gens, chooser=None):
+    """Full normal form of f modulo gens, a sequence of polynomials or a
+    GroebnerBasis (whose packed generators are then reused).
+
+    Each step reduces the largest reducible term by the first generator
+    whose leading monomial divides it.  chooser, if given, picks the
+    (monomial, generator index) step instead from the candidate list
+    (sorted by descending monomial, ascending index).  The result is
+    chooser-independent once gens is a Groebner basis, which the
+    confluence tests exercise.
+    """
+    if not f:
+        return frozenset(f)
+    top = _top_degree([f])
+    if isinstance(gens, GroebnerBasis):
+        div = gens._divisors
+        gens = gens.generators
+    else:
+        gens = [g for g in gens if g]
+        div = None
+    if div is None or top > div.pk.cap:
+        div = _Divisors(gens, len(next(iter(f))[0]),
+                        max(top, _top_degree(gens)))
+    pk = div.pk
+    work = set(map(pk.encode, f))
+    if chooser is None:
+        return pk.decode_poly(_reduce(work, div.lms, div.tails, pk.guard))
+    while True:
+        cands = [(m, k) for m in sorted(work, reverse=True)
+                 for k, lead in enumerate(div.lms)
+                 if not (m - lead) & pk.guard]
+        if not cands:
+            return pk.decode_poly(work)
+        m, k = chooser([(pk.decode(m), k) for m, k in cands])
+        q = pk.encode(m) - div.lms[k]
+        work ^= {q + x for x in (div.lms[k], *div.tails[k])}
+
+
+def _groebner(div):
+    """Reduced Groebner basis of the packed polynomials div, which grows
+    in place, as term lists with leading terms descending.  Pairs are
+    taken smallest lcm first; raises _Overflow before a pair whose
+    S-polynomial might not fit the fields."""
+    pk, lms, tails = div.pk, div.lms, div.tails
+    guard, cap, degree = pk.guard, pk.cap, pk.degree
+    pairs = []
+
+    def add_pairs(j):
+        lj = lms[j]
+        for i in range(j):
+            li = lms[i]
+            need = degree(li) + degree(lj)
+            if need > cap:
+                raise _Overflow(need)
+            lcm = pk.lcm(li, lj)
+            if lcm != li + lj:  # coprime leading terms reduce to zero
+                heappush(pairs, (lcm, i, j))
+
+    for j in range(len(lms)):
+        add_pairs(j)
+    while pairs:
+        lcm, i, j = heappop(pairs)
+        ui, uj = lcm - lms[i], lcm - lms[j]
+        spoly = {ui + x for x in tails[i]}
+        spoly.symmetric_difference_update(uj + x for x in tails[j])
+        r = _reduce(spoly, lms, tails, guard)
+        if r:
+            lms.append(r[0])
+            tails.append(r[1:])
+            add_pairs(len(lms) - 1)
+    # minimal basis: ascending by leading term, a kept one can only
+    # divide later ones
     kept = []
-    for g in srt:
-        if any(mono_divides(lm(h), lm(g)) for h in kept):
-            continue
-        kept.append(g)
-    return kept
+    for k in sorted(range(len(lms)), key=lms.__getitem__):
+        if all((lms[k] - lms[h]) & guard for h in kept):
+            kept.append(k)
+    out = []
+    for k in reversed(kept):
+        others = [h for h in kept if h != k]
+        out.append([lms[k]] + _reduce(set(tails[k]), [lms[h] for h in others],
+                                      [tails[h] for h in others], guard))
+    return out
 
 
 def buchberger(gens, nvars=None, enforce_homogeneous=True):
@@ -184,28 +348,19 @@ def buchberger(gens, nvars=None, enforce_homogeneous=True):
         for exps, _ in g:
             if len(exps) != nvars:
                 raise ValueError("mixed variable counts in generators")
-        if enforce_homogeneous and not is_homogeneous(g):
-            raise NonHomogeneousGeneratorError(
-                f"generator {sorted(g)} is not homogeneous in the cod grading")
-    basis = list(gens)
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        i, j = pairs.pop(0)
-        li, lj = lm(basis[i]), lm(basis[j])
-        lcm = (tuple(max(x, y) for x, y in zip(li[0], lj[0])), max(li[1], lj[1]))
-        if lcm == mono_mul(li, lj):  # coprime leading monomials
+        if enforce_homogeneous:
+            _require_homogeneous(g)
+    # an S-polynomial has degree at most the sum of two leading degrees
+    cap = 2 * _top_degree(gens)
+    while True:
+        div = _Divisors(gens, nvars, cap)
+        try:
+            basis = _groebner(div)
+        except _Overflow as exc:
+            cap = 2 * exc.args[0]
             continue
-        r = reduce_poly(s_poly(basis[i], basis[j]), basis)
-        if r:
-            pairs.extend((k, len(basis)) for k in range(len(basis)))
-            basis.append(r)
-    kept = _minimalize(basis)
-    reduced = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1:]
-        reduced.append(reduce_poly(g, others))
-    reduced.sort(key=lambda g: grevlex_key(lm(g)), reverse=True)
-    return GroebnerBasis(tuple(reduced), "grevlex", True, nvars)
+        return GroebnerBasis(tuple(map(div.pk.decode_poly, basis)),
+                             "grevlex", True, nvars)
 
 
 def saturate_t(gb):
@@ -232,8 +387,10 @@ class QuotientRing:
     """F2[X_1..X_d][q^-1,q] modulo a cod-homogeneous ideal.
 
     The working representation is the dehomogenized (t=1) quotient with
-    q-powers reconstructed from the grading deficit; the saturated
-    homogeneous basis is kept alongside as a cross-check oracle.
+    q-powers reconstructed from the grading deficit.  The saturated
+    homogeneous basis hom_gb, a cross-check oracle and the source of
+    the reduced relations shown by presentations, is computed on first
+    read and then kept.
     cod_unit is display metadata (1: degrees as-is, 2: doubled).
     """
 
@@ -241,7 +398,8 @@ class QuotientRing:
         self.nvars = nvars
         self.cod_unit = cod_unit
         self.generators = tuple(frozenset(g) for g in generators if g)
-        self.hom_gb = saturate_t(buchberger(self.generators, nvars=nvars))
+        for g in self.generators:
+            _require_homogeneous(g)
         self.gb = buchberger([dehomogenize(g) for g in self.generators],
                              nvars=nvars, enforce_homogeneous=False)
         self.basis = self._standard_monomials()
@@ -251,23 +409,34 @@ class QuotientRing:
         self._mul_cache = {}
         self.cache = {}
 
+    @cached_property
+    def hom_gb(self):
+        """Saturated homogeneous basis, computed on first read."""
+        return saturate_t(buchberger(self.generators, nvars=self.nvars))
+
     def _standard_monomials(self):
         lms = [lm(g) for g in self.gb.generators]
-        caps = []
-        for i in range(self.nvars):
-            pure = [l[0][i] for l in lms
-                    if l[1] == 0 and all(e == 0 for k, e in enumerate(l[0]) if k != i)]
-            if not pure:
+        caps = [None] * self.nvars
+        for exps, tdeg in lms:
+            support = [i for i, e in enumerate(exps) if e]
+            if tdeg or len(support) > 1:
+                continue
+            for i in support or range(self.nvars):  # 1 caps every variable
+                if caps[i] is None or exps[i] < caps[i]:
+                    caps[i] = exps[i]
+        for i, c in enumerate(caps):
+            if c is None:
                 raise InfiniteDimensionalError(
                     f"no pure power of X{i + 1} among leading monomials; "
                     f"quotient has infinite rank")
-            caps.append(min(pure))
+        pk = _Packing(self.nvars, max(_top_degree([lms]), sum(caps)))
+        leads = [pk.encode(l) for l in lms]
         out = []
         for exps in iter_product(*(range(c) for c in caps)):
             m = (exps, 0)
-            if any(mono_divides(l, m) for l in lms):
-                continue
-            out.append(m)
+            packed = pk.encode(m)
+            if all((packed - lead) & pk.guard for lead in leads):
+                out.append(m)
         out.sort(key=lambda m: (mono_cod(m), grevlex_key(m)))
         return tuple(out)
 
@@ -275,7 +444,7 @@ class QuotientRing:
         f = dehomogenize(frozenset(f))
         hit = self._nf_cache.get(f)
         if hit is None:
-            hit = self._nf_cache[f] = reduce_poly(f, self.gb.generators)
+            hit = self._nf_cache[f] = reduce_poly(f, self.gb)
         return hit
 
     def nf_mono_mul(self, m1, m2):

@@ -186,6 +186,15 @@ def test_selfcheck_all_builtins_pass():
         assert code == 0, (name, out)
 
 
+
+def test_selfcheck_cp30_passes():
+    # a ring of 31 variables, built six times over the selfcheck stages
+    code, out = run(["--format", "json", "selfcheck", "cp30"])
+    assert code == 0, out
+    data = json.loads(out)
+    assert data["passed"] is True
+    assert all(c["ok"] for c in data["checks"])
+
 def test_json_reports_parse_and_carry_schema():
     code, out = run(["--format", "json", "mul", "Y", "Y", "blowup_cp3"])
     assert code == 0

@@ -304,3 +304,154 @@ def test_tmul_tdivmod_round_trip(a, b):
 def test_tdiv_exact_rejects_inexact():
     with pytest.raises(ArithmeticError):
         _tdiv_exact(0b111, 0b11)  # t^2 + t + 1 is irreducible
+
+
+# Quantum L generators of products, written out from the factors: cp_n has
+# facets X_1..X_{n+1}, linear relations X_i + X_{n+1} and the one relation
+# X_1...X_{n+1} + t^{n+1}; blowup_cp3 is as in test_buchberger_blowup_frozen.
+# A factor is (facet count, linear relations as facet sets, binomials as
+# (left facet set, {facet: exponent} on the right, power of t)).
+def cp_factor(n):
+    facets = set(range(1, n + 2))
+    return (n + 1, [{i, n + 1} for i in range(1, n + 1)],
+            [(facets, {}, n + 1)])
+
+
+BLOWUP_CP3 = (5, [{1, 5}, {2, 5}, {3, 4, 5}],
+              [({1, 2, 5}, {4: 1}, 2), ({3, 4}, {}, 2)])
+
+
+def product_generators(*factors):
+    nvars = sum(f[0] for f in factors)
+
+    def term(powers, tdeg):
+        return (tuple(powers.get(i, 0) for i in range(1, nvars + 1)), tdeg)
+
+    gens = []
+    offset = 0
+    for size, linear, binomials in factors:
+        for rel in linear:
+            gens.append(frozenset(term({offset + i: 1}, 0) for i in rel))
+        for left, right, tdeg in binomials:
+            gens.append(frozenset({
+                term({offset + i: 1 for i in left}, 0),
+                term({offset + i: e for i, e in right.items()}, tdeg)}))
+        offset += size
+    return gens, nvars
+
+
+def sympy_with_t(nvars):
+    """Symbols X_1..X_d, t: t last, as in f2ring."""
+    return sympy.symbols(f"x1:{nvars + 1}") + (sympy.Symbol("t"),)
+
+
+def to_sympy(f, syms):
+    return sum((sympy.Mul(*(s ** k for s, k in zip(syms, exps + (td,))))
+                for exps, td in f), sympy.Integer(0))
+
+
+def from_sympy(p):
+    return frozenset((tuple(int(x) for x in em[:-1]), int(em[-1]))
+                     for em in p.monoms() if not p.is_zero)
+
+
+def sympy_gb_with_t(gens, nvars):
+    syms = sympy_with_t(nvars)
+    return sympy.groebner([to_sympy(f, syms) for f in gens], *syms,
+                          modulus=2, order="grevlex")
+
+
+@pytest.mark.parametrize("factors", [
+    (cp_factor(2), cp_factor(2)),
+    (BLOWUP_CP3, cp_factor(1)),
+    (cp_factor(3), cp_factor(2)),
+], ids=["cp2xcp2", "blowup_cp3xcp1", "cp3xcp2"])
+def test_homogeneous_route_matches_sympy(factors):
+    gens, nvars = product_generators(*factors)
+    gb = buchberger(gens, nvars=nvars)
+    want = {from_sympy(p) for p in sympy_gb_with_t(gens, nvars).polys}
+    assert set(gb.generators) == want
+    # these ideals are already t-saturated, so saturation must not move
+    assert set(saturate_t(gb).generators) == set(gb.generators)
+
+
+@pytest.mark.parametrize("gens, nvars", [
+    # exponents far past one byte, and past two bytes
+    ([poly(((300, 0), 0), ((0, 299), 1)), poly(((1, 1), 0))], 2),
+    ([poly(((70000, 0), 0), ((0, 69999), 1)), poly(((1, 1), 0))], 2),
+    ([poly(((0, 0, 70000), 0), ((1, 0, 69998), 1)),
+      poly(((300, 0, 0), 0), ((0, 299, 0), 1))], 3),
+    # generated in degree 4, with basis elements of degree 23: past any
+    # width fixed from the input degree alone
+    ([poly(((0, 0, 0), 4), ((3, 1, 0), 0)),
+      poly(((0, 0, 2), 2), ((0, 1, 3), 0)),
+      poly(((0, 2, 0), 1), ((2, 0, 1), 0))], 3),
+], ids=["exp300", "exp70000", "mixed", "degree_growth"])
+def test_large_exponents_match_sympy(gens, nvars):
+    gb = buchberger(gens, nvars=nvars)
+    oracle = sympy_gb_with_t(gens, nvars)
+    assert set(gb.generators) == {from_sympy(p) for p in oracle.polys}
+    syms = sympy_with_t(nvars)
+    f = poly_add(gens[0], gens[-1])
+    _, rem = oracle.reduce(to_sympy(f, syms))
+    want = from_sympy(sympy.Poly(rem, *syms, modulus=2))
+    assert reduce_poly(f, gb.generators) == reduce_poly(f, gb) == want
+    # far above the basis degree, past the fields kept with the basis
+    top = max(sum(e) + td for g in gb.generators for e, td in g)
+    big = poly_mul(xvar(nvars, nvars, 5 * top), f)
+    assert reduce_poly(big, gb) == division_remainder(big, gb.generators)
+
+
+def division_remainder(f, basis):
+    """Remainder of f by basis with exponent tuples and a local grevlex
+    key, sharing no code with the packed kernel."""
+    def key(m):
+        return (sum(m[0]) + m[1], -m[1]) + tuple(-e for e in reversed(m[0]))
+
+    def divides(a, b):
+        return a[1] <= b[1] and all(x <= y for x, y in zip(a[0], b[0]))
+
+    leads = [max(g, key=key) for g in basis]
+    cur, out = set(f), set()
+    while cur:
+        m = max(cur, key=key)
+        cur.remove(m)
+        k = next((k for k, lead in enumerate(leads) if divides(lead, m)), None)
+        if k is None:
+            out.add(m)
+            continue
+        lead = leads[k]
+        for e, td in basis[k] - {lead}:
+            cur ^= {(tuple(x + y - z for x, y, z in zip(e, m[0], lead[0])),
+                     td + m[1] - lead[1])}
+    return frozenset(out)
+
+
+def test_hom_gb_is_lazy(monkeypatch):
+    import toric_qh.f2ring as f2ring
+
+    calls = []
+    real = f2ring.buchberger
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(f2ring, "buchberger", counting)
+    gens, nvars = product_generators(BLOWUP_CP3, cp_factor(1))
+    ring = QuotientRing(gens, nvars=nvars)
+    assert len(calls) == 1  # the dehomogenized basis only
+    first = ring.hom_gb
+    assert len(calls) > 1
+    monkeypatch.setattr(f2ring, "buchberger", real)
+    assert first == saturate_t(buchberger(ring.generators, nvars=ring.nvars))
+    monkeypatch.setattr(f2ring, "buchberger", counting)
+    before = len(calls)
+    assert ring.hom_gb is first
+    assert len(calls) == before
+
+
+def test_ring_rejects_nonhomogeneous_generators():
+    with pytest.raises(NonHomogeneousGeneratorError):
+        QuotientRing((poly(((2, 0), 0), ((0, 0), 0)),
+                      poly(((0, 3), 0), ((1, 0), 2))), nvars=2)
