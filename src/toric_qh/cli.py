@@ -406,7 +406,7 @@ def _cmd_presentation(args):
         "generator_degree": pres.generator_cod,
         "grading_unit": pres.grading_unit,
         "rank": ring.dim,
-        "hilbert": list(scaled_hilbert(ring)),
+        "hilbert": list(scaled_hilbert(ring, pres.grading_unit)),
         "relations": {
             "linear": [render_poly(f, dmap, raw=True)
                        for f in pres.linear_relations],
@@ -482,9 +482,8 @@ def _cmd_betti(args):
 
 def _cmd_psi_check(args):
     p = load_polytope(args.polytope)
-    _, pl = build_ring(p, "L", "quantum")
-    _, pm = build_ring(p, "M", "quantum")
-    match = verify_psi(pl, pm)
+    ring, _ = build_ring(p, "L", "quantum")
+    match = verify_psi(p, ring)
     return {"match": match}, 0 if match else 1
 
 
@@ -547,9 +546,7 @@ def _cmd_selfcheck(args):
         return all(e["ok"] for e in detail), detail
 
     def check_psi():
-        _, pl = quantum_ring()
-        _, pm = build_ring(p, "M", "quantum")
-        return verify_psi(pl, pm), None
+        return verify_psi(p, quantum_ring()[0]), None
 
     def check_uniruled():
         cert = uniruled_certificate(quantum_ring()[0])
@@ -639,7 +636,7 @@ def _build_parser():
     sp.add_argument("--xi", metavar="C1,...,CN")
     sp.add_argument("polytope")
 
-    for name, desc in (("psi-check", "degree-doubling isomorphism check"),
+    for name, desc in (("psi-check", "Betti numbers of L against the M view"),
                        ("uniruled", "uniruledness certificate"),
                        ("selfcheck", "all invariant suites with timings")):
         sp = add(name, desc)

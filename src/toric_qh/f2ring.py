@@ -36,11 +36,6 @@ def mono_mul(a, b):
     return (tuple(x + y for x, y in zip(a[0], b[0])), a[1] + b[1])
 
 
-def mono_divides(a, b):
-    """True iff a divides b."""
-    return a[1] <= b[1] and all(x <= y for x, y in zip(a[0], b[0]))
-
-
 def grevlex_key(m):
     """Sort key; larger key = larger monomial."""
     exps, tdeg = m
@@ -390,13 +385,12 @@ class QuotientRing:
     q-powers reconstructed from the grading deficit.  The saturated
     homogeneous basis hom_gb, a cross-check oracle and the source of
     the reduced relations shown by presentations, is computed on first
-    read and then kept.
-    cod_unit is display metadata (1: degrees as-is, 2: doubled).
+    read and then kept.  Degrees are cods; a view that doubles them
+    (the ambient M) is a display concern of the caller.
     """
 
-    def __init__(self, generators, nvars, cod_unit=1):
+    def __init__(self, generators, nvars):
         self.nvars = nvars
-        self.cod_unit = cod_unit
         self.generators = tuple(frozenset(g) for g in generators if g)
         for g in self.generators:
             _require_homogeneous(g)

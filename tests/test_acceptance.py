@@ -41,8 +41,6 @@ from toric_qh.qh import (
     verify_seidel_relation,
 )
 
-import dataclasses
-
 
 def run(argv):
     buf = io.StringIO()
@@ -197,17 +195,14 @@ def test_criterion_05_betti_crosscheck():
 def test_criterion_06_psi_isomorphism():
     for name in BUILTIN_NAMES:
         p = builtin_polytope(name)
-        _, pres_l = build_ring(p, space="L")
-        _, pres_m = build_ring(p, space="M")
-        assert verify_psi(pres_l, pres_m), name
-    _, pres_l = build_ring(builtin_polytope("blowup_cp3"), space="L")
-    _, pres_m = build_ring(builtin_polytope("blowup_cp3"), space="M")
-    mutated = dataclasses.replace(
-        pres_l,
-        linear_relations=(
-            poly(((1, 0, 0, 0, 0), 0), ((0, 0, 0, 1, 0), 0)),)
-        + pres_l.linear_relations[1:])
-    assert not verify_psi(mutated, pres_m)
+        ring, _ = build_ring(p)
+        assert verify_psi(p, ring), name
+    blow = builtin_polytope("blowup_cp3")
+    _, pres = build_ring(blow)
+    mutated = QuotientRing(
+        (poly(((1, 0, 0, 0, 0), 0), ((0, 0, 0, 1, 0), 0)),)
+        + pres.linear_relations[1:] + pres.sr_relations, nvars=blow.nfacets)
+    assert not verify_psi(blow, mutated)
     report(6)
 
 

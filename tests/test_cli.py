@@ -166,6 +166,37 @@ def test_psi_check_and_uniruled():
                    "inverse: X1^2*X4*q^3 + X4*q\n")
 
 
+def test_one_ring_per_flavor(monkeypatch):
+    # M is the L ring with doubled degrees, not a second ring: selfcheck
+    # builds the classical and the quantum ring once each and never
+    # saturates, and psi-check builds the quantum ring alone
+    import toric_qh.cli as cli
+    import toric_qh.f2ring as f2ring
+    import toric_qh.qh as qh
+
+    rings, saturations = [], []
+    real_init = f2ring.QuotientRing.__init__
+    real_saturate = f2ring.saturate_t
+
+    def counting_init(self, *args, **kwargs):
+        rings.append(args)
+        real_init(self, *args, **kwargs)
+
+    def counting_saturate(*args, **kwargs):
+        saturations.append(args)
+        return real_saturate(*args, **kwargs)
+
+    monkeypatch.setattr(f2ring.QuotientRing, "__init__", counting_init)
+    for mod in (f2ring, qh, cli):
+        if hasattr(mod, "saturate_t"):
+            monkeypatch.setattr(mod, "saturate_t", counting_saturate)
+    code, _ = run(["selfcheck", "blowup_cp3"])
+    assert (code, len(rings), len(saturations)) == (0, 2, 0)
+    rings.clear()
+    code, _ = run(["psi-check", "blowup_cp3"])
+    assert (code, len(rings)) == (0, 1)
+
+
 def test_selfcheck_pass_and_fail():
     code, out = run(["selfcheck", "blowup_cp3"])
     assert code == 0

@@ -1,11 +1,10 @@
-import dataclasses
 import random
 
 import pytest
 
 from toric_qh.cli import builtin_polytope
 from toric_qh.errors import NotInvertibleError
-from toric_qh.f2ring import QHElement, hilbert_function, mono
+from toric_qh.f2ring import QHElement, QuotientRing, hilbert_function, mono
 from toric_qh.qh import (
     betti_crosscheck,
     build_ring,
@@ -24,7 +23,7 @@ from toric_qh.qh import (
     verify_psi,
     verify_seidel_relation,
 )
-from toric_qh.polytope import Polytope, primitive_collection_data
+from toric_qh.polytope import Polytope, betti_numbers_L, primitive_collection_data
 
 BUILTINS = ("cp1", "cp2", "cp3", "cp4", "cp5", "cp1xcp1", "blowup_cp3")
 
@@ -47,7 +46,6 @@ def test_linear_relations_blowup_frozen():
         poly(((0, 0, 1, 0, 0), 0), ((0, 0, 0, 1, 0), 0),
              ((0, 0, 0, 0, 1), 0)),
     )
-    assert linear_relations(p, space="M") == linear_relations(p)
 
 
 def test_linear_relations_products_frozen():
@@ -481,21 +479,36 @@ def test_seidel_relations_all_builtins():
 def test_verify_psi_all_builtins():
     for name in BUILTINS:
         p = builtin_polytope(name)
-        _, pres_l = build_ring(p, space="L")
-        _, pres_m = build_ring(p, space="M")
-        assert verify_psi(pres_l, pres_m)
+        ring, _ = build_ring(p)
+        assert verify_psi(p, ring)
 
 
 def test_verify_psi_negative_control():
     p = builtin_polytope("blowup_cp3")
-    _, pres_l = build_ring(p, space="L")
-    _, pres_m = build_ring(p, space="M")
-    bad_rel = poly(((1, 0, 0, 0, 0), 0), ((0, 0, 0, 1, 0), 0))
-    mutated = dataclasses.replace(
-        pres_l, linear_relations=(bad_rel,) + pres_l.linear_relations[1:])
-    assert not verify_psi(mutated, pres_m)
-    shrunk = dataclasses.replace(pres_l, nvars=4)
-    assert not verify_psi(shrunk, pres_m)
+    _, pres = build_ring(p)
+    bad_rel = poly(((1, 0, 0, 0, 0), 0), ((0, 0, 0, 1, 0), 0))  # X1 + X4
+    mutated = QuotientRing((bad_rel,) + pres.linear_relations[1:]
+                           + pres.sr_relations, nvars=p.nfacets)
+    assert hilbert_function(mutated) == (1, 2, 1)
+    assert not verify_psi(p, mutated)
+
+
+def test_verify_psi_perfbench_bases(perfbench_module):
+    # each base's Betti vector comes from Kuenneth over cpN and the blowup,
+    # computed without the program
+    bases = perfbench_module("inputs").named_bases()
+    assert len(bases) == 30
+
+    def doubled(betti):
+        out = [0] * (2 * len(betti) - 1)
+        out[::2] = betti
+        return tuple(out)
+
+    for name, base in bases.items():
+        p = Polytope.from_facets(base.dim, base.facets)
+        ring, _ = build_ring(p)
+        assert doubled(betti_numbers_L(p)) == doubled(base.betti), name
+        assert verify_psi(p, ring), name
 
 
 def test_uniruled_all_builtins():
@@ -526,9 +539,8 @@ def test_betti_crosscheck_builtins():
 
 
 def test_scaled_hilbert_blowup():
-    ring_m, _ = build_ring(builtin_polytope("blowup_cp3"), space="M",
-                           flavor="classical")
-    assert scaled_hilbert(ring_m) == (1, 0, 2, 0, 2, 0, 1)
+    ring, _ = build_ring(builtin_polytope("blowup_cp3"), flavor="classical")
+    assert scaled_hilbert(ring, 2) == (1, 0, 2, 0, 2, 0, 1)
 
 
 def test_min_quantum_degree():

@@ -1,9 +1,14 @@
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from toric_qh.cli import builtin_polytope
+from toric_qh.f2ring import QuotientRing
+from toric_qh.qh import Presentation, build_ring
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -31,3 +36,20 @@ def test_report_digest_frozen(tmp_path):
     assert proc.stdout.splitlines()[-1] == (
         "167 reports  sha256 "
         "8722f70487cbef3af229e66afd286e88bd0f89c5e8c2b79cfa171dcb5cbd1a6e")
+
+
+def test_benchmark_entry_points_resolve(perfbench_module):
+    # perfbench/ wraps these names with getattr and no default, and its
+    # ring-session workload calls build_ring positionally
+    tracing = perfbench_module("tracing")
+    for layer, names in tracing.ENTRY_POINTS.items():
+        mod = importlib.import_module("toric_qh." + layer)
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{layer}.{name}"
+    for (layer, cls_name), names in tracing.METHODS.items():
+        cls = getattr(importlib.import_module("toric_qh." + layer), cls_name)
+        for name in names:
+            assert callable(getattr(cls, name, None)), f"{cls_name}.{name}"
+    ring, pres = build_ring(builtin_polytope("blowup_cp3"), "L", "quantum")
+    assert isinstance(ring, QuotientRing) and isinstance(pres, Presentation)
+    assert (pres.space, pres.flavor, ring.dim) == ("L", "quantum", 6)
