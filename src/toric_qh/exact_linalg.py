@@ -125,8 +125,9 @@ def _gauss_jordan(m, right):
         pk = a[k]
         p = pk[k]
         for i in range(n):
-            if i != k:
-                f = a[i][k]
+            f = a[i][k]
+            # with f = 0 and p = prev the update leaves the row as it is
+            if i != k and (f or p != prev):
                 a[i] = [(x * p - f * y) // prev for x, y in zip(a[i], pk)]
         prev = p
     return prev, [row[n:] for row in a]

@@ -10,11 +10,12 @@ pi-units.  Facet indices are 1-based everywhere they are reported.
 """
 
 from bisect import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from .errors import (
     DelzantError,
@@ -24,8 +25,10 @@ from .errors import (
     NonUniqueBatyrevVectorError,
 )
 from .exact_linalg import (
+    _gauss_jordan,
     adjugate,
     hermite_normal_form,
+    identity,
     kernel_lattice_basis,
     mat,
     solve_rational,
@@ -39,6 +42,9 @@ class Polytope:
     dim: int
     normals: tuple  # of int tuples, inward
     offsets: tuple  # of Fractions, pi-units
+    # derived data (vertices, reports, collections), freed with the polytope
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @staticmethod
     def from_facets(dim, facets, convention="inward"):
@@ -89,11 +95,24 @@ class DelzantReport:
 
 
 def _dot(v, x):
-    return sum(a * b for a, b in zip(v, x))
+    return sum(map(mul, v, x))
 
 
 def _coords_str(coords):
     return "(" + ", ".join(str(c) for c in coords) + ")"
+
+
+def _memoized(fn):
+    """Keep fn(p) in p's own memo, so it is computed once per polytope
+    and freed with it."""
+    @wraps(fn)
+    def cached(p):
+        try:
+            return p._memo[fn]
+        except KeyError:
+            out = p._memo[fn] = fn(p)
+            return out
+    return cached
 
 
 def _feasible_points(p):
@@ -131,15 +150,56 @@ def _sweep_vertices(p):
     return tuple(_vertex(p, x) for x in sorted(set(_feasible_points(p))))
 
 
-@lru_cache(maxsize=None)
+def _integer_start(p, offs):
+    """The first point ``_feasible_points`` yields, as an integer vertex.
+
+    ``offs`` are the offsets scaled by the lcm L of their denominators.
+    Each dim-subset S, in ``combinations`` order, gets one fraction-free
+    elimination of [V_S | I | L*a_S], which gives D = det V_S, adj V_S
+    and X = D*L*x for the solution x of V_S x = a_S.  x is feasible iff
+    every slack sign(D) * (<v_k, X> - D*L*a_k) is >= 0.  Returns
+    (tight, det, L*x, slacks, edge directions) for the first feasible x,
+    or None when there is none or it is not simple and unimodular.
+    """
+    n = p.dim
+    eye = identity(n)
+    for subset in combinations(range(p.nfacets), n):
+        vdet, sol = _gauss_jordan([p.normals[i] for i in subset],
+                                  [eye[j] + (offs[i],)
+                                   for j, i in enumerate(subset)])
+        if not vdet:
+            continue
+        xs = [row[n] for row in sol]
+        sign = 1 if vdet > 0 else -1
+        slack = []
+        for v, b in zip(p.normals, offs):
+            s = sign * (_dot(v, xs) - vdet * b)
+            if s < 0:
+                break
+            slack.append(s)
+        else:
+            # a simple vertex is tight on S alone; |D| = 1 makes V_S^-1 =
+            # D * adj V_S integral, with the edge directions as columns
+            if slack.count(0) != n or vdet not in (1, -1):
+                return None
+            dirs = [[vdet * row[j] for row in sol] for j in range(n)]
+            return (list(subset), vdet, [vdet * c for c in xs], slack, dirs)
+    return None
+
+
+@_memoized
 def _walk_vertices(p):
     """Vertices by walking the edges of a simple unimodular polytope, or
     None when the walk cannot vouch for its answer.
 
-    Avis-Fukuda pivoting (DCG 8, 1992), kept in integers: with L the lcm
-    of the offset denominators, a vertex carries X = L*x, the slacks
-    <v_k, X> - L*a_k and the pairings r_jk = <v_k, w_j> with its edge
-    directions.  Leaving along w_i, the first facet k to block it (least
+    Avis-Fukuda pivoting (DCG 8, 1992), kept in integers from start to
+    output: with L the lcm of the offset denominators, a vertex carries
+    X = L*x, the slacks <v_k, X> - L*a_k and the pairings
+    r_jk = <v_k, w_j> with its edge directions.  The start is the first
+    feasible solution of a dim-subset of facet equations
+    (``_integer_start``); its pairings with its own tight facets are
+    delta_jk, since V * W = I, so only the other d - n are computed.
+    Leaving along w_i, the first facet k to block it (least
     slack_k / -r_ik over r_ik < 0, by cross-multiplication) swaps in for
     facet i.  Since det V' = det(V) * r_ik (determinant lemma), the next
     vertex is unimodular iff r_ik = -1, and then the step is slack_k and
@@ -147,27 +207,27 @@ def _walk_vertices(p):
     same for the pairings.  Returns None, so that the caller falls back
     to the sweep, when the start vertex is not simple and unimodular, an
     edge has no blocking facet (unbounded), the ratio test ties (the next
-    vertex is not simple) or r_ik != -1 (not unimodular).
+    vertex is not simple) or r_ik != -1 (not unimodular).  Vertices are
+    sorted on X; Fractions are built once, for the output.
     """
-    start = next(_feasible_points(p), None)
+    n = p.dim
+    scale = lcm(*(a.denominator for a in p.offsets))
+    offs = [a.numerator * (scale // a.denominator) for a in p.offsets]
+    start = _integer_start(p, offs)
     if start is None:
         return None
-    first = _vertex(p, start)
-    if first.edge_dirs is None:
-        return None
-    n, d = p.dim, p.nfacets
-    scale = lcm(*(a.denominator for a in p.offsets))
-    xs = [int(c * scale) for c in start]
-    slack = [_dot(v, xs) - int(a * scale) for v, a in zip(p.normals, p.offsets)]
-    dirs = [list(w) for w in first.edge_dirs]
-    pairs = [[_dot(v, w) for v in p.normals] for w in dirs]
-    todo = [([i - 1 for i in first.tight], first.normal_det, xs, slack, dirs, pairs)]
-    seen = {_mask(first.tight)}
+    tight, vdet, xs, slack, dirs = start
+    place = {k: j for j, k in enumerate(tight)}
+    pairs = [[int(place[k] == j) if k in place else _dot(v, w)
+              for k, v in enumerate(p.normals)]
+             for j, w in enumerate(dirs)]
+    todo = [(tight, vdet, xs, slack, dirs, pairs)]
+    seen = {_mask(i + 1 for i in tight)}
     # edges by their n-1 tight facets: an edge is walked from one end only,
     # since from the other end its ratio test blocks at the (simple) first
     # end, uniquely and with r = -1
     followed = set()
-    out = [first]
+    out = [(xs, tight, vdet, dirs)]
     while todo:
         tight, vdet, xs, slack, dirs, pairs = todo.pop()
         mask = _mask(i + 1 for i in tight)
@@ -178,21 +238,24 @@ def _walk_vertices(p):
             followed.add(edge)
             r = pairs[i]
             k, tie = None, False
-            for j in range(d):
-                if r[j] < 0:
-                    if k is None or slack[j] * -r[k] < slack[k] * -r[j]:
-                        k, tie = j, False
-                    elif slack[j] * -r[k] == slack[k] * -r[j]:
-                        tie = True
+            for j in [j for j, x in enumerate(r) if x < 0]:
+                if k is None or slack[j] * -r[k] < slack[k] * -r[j]:
+                    k, tie = j, False
+                elif slack[j] * -r[k] == slack[k] * -r[j]:
+                    tie = True
             if k is None or tie or r[k] != -1:
                 return None
             if edge | 1 << k in seen:
                 continue
             seen.add(edge | 1 << k)
+            # rows that pair to zero with facet k are unchanged and shared;
+            # no row is mutated in place
             step, wi = slack[k], dirs[i]
-            ndirs = [[a + rj[k] * b for a, b in zip(w, wi)]
-                     for w, rj in zip(dirs, pairs)]
-            npairs = [[a + rj[k] * b for a, b in zip(rj, r)] for rj in pairs]
+            col = [rj[k] for rj in pairs]
+            ndirs = [[a + c * b for a, b in zip(w, wi)] if c else w
+                     for w, c in zip(dirs, col)]
+            npairs = [[a + c * b for a, b in zip(rj, r)] if c else rj
+                      for rj, c in zip(pairs, col)]
             # facet k takes position i, where det V' = -det V, then moves
             # to its sorted position; each place it passes flips the sign
             ntight = tight[:i] + tight[i + 1:]
@@ -205,21 +268,27 @@ def _walk_vertices(p):
             nvdet = vdet if (pos - i) % 2 else -vdet
             todo.append((ntight, nvdet, nxs,
                          [a + step * b for a, b in zip(slack, r)], ndirs, npairs))
-            out.append(Vertex(tuple(Fraction(c, scale) for c in nxs),
-                              tuple(t + 1 for t in ntight), nvdet,
-                              tuple(tuple(w) for w in ndirs)))
-    return tuple(sorted(out, key=lambda v: v.coords))
+            out.append((nxs, ntight, nvdet, ndirs))
+    out.sort()
+    # coordinates repeat across vertices: each Fraction is built once
+    frac = {c: Fraction(c, scale) for c in set().union(*(v[0] for v in out))}
+    return tuple(Vertex(tuple(map(frac.get, xs)),
+                        tuple(t + 1 for t in tight), vdet,
+                        tuple(map(tuple, dirs)))
+                 for xs, tight, vdet, dirs in out)
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def enumerate_vertices(p):
     """All vertices, deterministically ordered by coordinates.
 
     A simple polytope whose vertices are all unimodular is enumerated by
-    an edge walk from its first vertex (``_walk_vertices``), with work
-    proportional to its edges rather than to the C(d, n) facet subsets.
-    Any other input falls back to the sweep over every dim-subset
+    an integer edge walk (``_walk_vertices``) from the first feasible
+    solution of a dim-subset of facet equations, with work proportional
+    to its edges rather than to the C(d, n) facet subsets.  Any other
+    input falls back to the sweep over every dim-subset
     (``_sweep_vertices``), so reports on rejected inputs are unchanged.
+    The result is kept on p, like validation and primitive collections.
     Each vertex records its full tight set, and, when simple, det V of
     its tight normal matrix; when |det V| = 1 also its edge directions
     w_j, the columns of V^-1 (V * w_j = e_j).
@@ -275,7 +344,7 @@ def _recession_ray(p):
     return None
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def validate_delzant(p):
     """Full Delzant check; returns a report, never raises.
 
@@ -426,7 +495,7 @@ def quantum_degree(pc):
     return m
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def primitive_collection_data(p):
     """PrimitiveCollection records for every collection of p."""
     out = []
@@ -450,6 +519,7 @@ def morse_index_L(v, xi):
     return idx
 
 
+@_memoized
 def generic_xi(p):
     """Deterministic xi = (1, B, B^2, ...) with B above every |edge entry|.
 
@@ -462,11 +532,19 @@ def generic_xi(p):
 
 
 def betti_numbers_L(p, xi=None):
-    """Histogram of Morse indices over all vertices, b_0..b_n."""
-    report = require_delzant(p)
+    """Histogram of Morse indices over all vertices, b_0..b_n.
+
+    The histogram for the default ``generic_xi`` is kept on p; an
+    explicit xi is always swept afresh."""
     if xi is None:
-        xi = generic_xi(p)
+        return _default_betti(p)
+    report = require_delzant(p)
     b = [0] * (p.dim + 1)
     for v in report.vertices:
         b[morse_index_L(v, xi)] += 1
     return tuple(b)
+
+
+@_memoized
+def _default_betti(p):
+    return betti_numbers_L(p, generic_xi(p))

@@ -218,8 +218,57 @@ def test_selfcheck_all_builtins_pass():
 
 
 
+def test_one_morse_sweep_per_selfcheck(monkeypatch):
+    # betti_crosscheck and psi both read the default-xi Betti numbers,
+    # which are swept once per polytope: one Morse index per vertex
+    import toric_qh.polytope as polytope
+
+    calls = []
+    real = polytope.morse_index_L
+
+    def counting(v, xi):
+        calls.append(v)
+        return real(v, xi)
+
+    monkeypatch.setattr(polytope, "morse_index_L", counting)
+    code, _ = run(["selfcheck", "blowup_cp3"])
+    assert (code, len(calls)) == (0, 6)
+
+
+def test_polytope_freed_with_its_derived_data(tmp_path):
+    # derived data lives on the polytope, not in a process-wide cache,
+    # so nothing keeps a polytope alive once its caller drops it
+    import gc
+    import weakref
+    from fractions import Fraction
+
+    from toric_qh.polytope import (
+        Polytope,
+        betti_numbers_L,
+        primitive_collection_data,
+        validate_delzant,
+    )
+
+    base = builtin_polytope("blowup_cp3")
+    shift = (Fraction(1, 2), -3, Fraction(2, 3))
+    moved = Polytope(base.dim, base.normals, tuple(
+        a + sum(x * t for x, t in zip(v, shift))
+        for v, a in zip(base.normals, base.offsets)))
+    path = tmp_path / "translate.json"
+    path.write_text(json.dumps(polytope_to_json(moved)), encoding="utf-8")
+    p = load_polytope(str(path))
+    assert validate_delzant(p).ok
+    assert validate_delzant(p) is validate_delzant(p)
+    assert primitive_collection_data(p) is primitive_collection_data(p)
+    assert betti_numbers_L(p) == (1, 2, 2, 1)
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
+
+
 def test_selfcheck_cp30_passes():
-    # a ring of 31 variables, built six times over the selfcheck stages
+    # a ring of 31 variables, built twice over the selfcheck stages
     code, out = run(["--format", "json", "selfcheck", "cp30"])
     assert code == 0, out
     data = json.loads(out)

@@ -588,6 +588,31 @@ def test_walk_matches_sweep(name):
     assert validate_delzant(p).ok
 
 
+@pytest.mark.parametrize("name", WALK_CORPUS)
+def test_walk_stays_integer(name, monkeypatch):
+    # start included, the walk never solves over Fractions and never
+    # reaches the sweep's helpers
+    import toric_qh.polytope as polytope
+
+    p = WALK_CORPUS[name]
+    want = _walk_vertices(p)
+
+    def banned(*args, **kwargs):
+        raise AssertionError("the walk left the integers")
+
+    for helper in ("_feasible_points", "_vertex", "solve_rational", "adjugate"):
+        monkeypatch.setattr(polytope, helper, banned)
+    assert _walk_vertices.__wrapped__(p) == want  # past the memo
+
+
+def test_walk_corpus_starts_past_first_subset():
+    # the first dim-subset of facets meets in no vertex, so the start
+    # scan has to pass over it
+    p = WALK_CORPUS["cp2xcp2"]
+    first = tuple(range(1, p.dim + 1))
+    assert all(v.tight != first for v in _sweep_vertices(p))
+
+
 @pytest.mark.parametrize("p, reasons", [
     (Polytope.from_facets(3, [
         ((0, 0, 1), 0), ((-1, 0, -1), -1), ((1, 0, -1), -1),
