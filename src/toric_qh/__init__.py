@@ -58,6 +58,7 @@ from .qh import (
     quantum_sr,
     seidel_composite,
     seidel_facet,
+    seidel_inverse,
     uniruled_certificate,
     unit,
     verify_psi,

@@ -13,7 +13,6 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
-from math import gcd
 from time import perf_counter
 
 from .errors import ParseError, SchemaError, ToricQHError
@@ -76,48 +75,57 @@ def builtin_polytope(name):
 BUILTIN_NAMES = ("cp1", "cp2", "cp3", "cp4", "cp5", "cp1xcp1", "blowup_cp3")
 
 
-def _expect(cond, message, path):
-    if not cond:
-        raise SchemaError(message, path)
-
-
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
 def polytope_from_data(data):
-    _expect(isinstance(data, dict), "top level must be an object", "$")
+    """Polytope from parsed JSON; a SchemaError names the first bad path.
+    Messages and paths are formatted only when a check fails."""
+    if not isinstance(data, dict):
+        raise SchemaError("top level must be an object", "$")
     for key in ("dim", "convention", "facets"):
-        _expect(key in data, f"missing key '{key}'", "$")
-    if "name" in data:
-        _expect(isinstance(data["name"], str), "name must be a string", "$.name")
+        if key not in data:
+            raise SchemaError(f"missing key '{key}'", "$")
+    if "name" in data and not isinstance(data["name"], str):
+        raise SchemaError("name must be a string", "$.name")
     dim = data["dim"]
-    _expect(_is_int(dim) and dim >= 1, "dim must be a positive integer", "$.dim")
+    if not (_is_int(dim) and dim >= 1):
+        raise SchemaError("dim must be a positive integer", "$.dim")
     conv = data["convention"]
-    _expect(conv in ("inward", "outward"),
-            "convention must be 'inward' or 'outward'", "$.convention")
+    if conv not in ("inward", "outward"):
+        raise SchemaError("convention must be 'inward' or 'outward'",
+                          "$.convention")
     facets = data["facets"]
-    _expect(isinstance(facets, list) and facets,
-            "facets must be a nonempty array", "$.facets")
+    if not (isinstance(facets, list) and facets):
+        raise SchemaError("facets must be a nonempty array", "$.facets")
     parsed = []
     for k, f in enumerate(facets):
-        path = f"$.facets[{k}]"
-        _expect(isinstance(f, dict), "facet must be an object", path)
+        if not isinstance(f, dict):
+            raise SchemaError("facet must be an object", f"$.facets[{k}]")
         for key in ("normal", "offset"):
-            _expect(key in f, f"missing key '{key}'", path)
+            if key not in f:
+                raise SchemaError(f"missing key '{key}'", f"$.facets[{k}]")
         normal = f["normal"]
-        _expect(isinstance(normal, list) and len(normal) == dim
-                and all(_is_int(x) for x in normal),
+        if not (isinstance(normal, list) and len(normal) == dim
+                and all(map(_is_int, normal))):
+            raise SchemaError(
                 f"normal must be an integer array of length {dim}",
-                path + ".normal")
+                f"$.facets[{k}].normal")
         off = f["offset"]
-        _expect(isinstance(off, list) and len(off) == 2
-                and all(_is_int(x) for x in off),
-                "offset must be [numerator, denominator]", path + ".offset")
+        if not (isinstance(off, list) and len(off) == 2
+                and all(map(_is_int, off))):
+            raise SchemaError("offset must be [numerator, denominator]",
+                              f"$.facets[{k}].offset")
         num, den = off
-        _expect(den > 0, "offset denominator must be positive", path + ".offset")
-        _expect(gcd(abs(num), den) == 1, "offset must be reduced", path + ".offset")
-        parsed.append((tuple(normal), Fraction(num, den)))
+        if den <= 0:
+            raise SchemaError("offset denominator must be positive",
+                              f"$.facets[{k}].offset")
+        offset = Fraction(num, den)
+        if offset.denominator != den:
+            raise SchemaError("offset must be reduced",
+                              f"$.facets[{k}].offset")
+        parsed.append((tuple(normal), offset))
     return Polytope.from_facets(dim, parsed, conv)
 
 

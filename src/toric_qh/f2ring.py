@@ -121,6 +121,12 @@ def dehomogenize(f):
     return out
 
 
+def _homogenize(f):
+    """Pad each monomial of f with t up to the top degree of f."""
+    top = _top_degree([f])
+    return frozenset((exps, top - sum(exps)) for exps, _ in f)
+
+
 class _Packing:
     """Monomials of F2[X_1..X_d, t] of degree at most cap as ints.
 
@@ -383,8 +389,8 @@ class QuotientRing:
 
     The working representation is the dehomogenized (t=1) quotient with
     q-powers reconstructed from the grading deficit.  The saturated
-    homogeneous basis hom_gb, a cross-check oracle and the source of
-    the reduced relations shown by presentations, is computed on first
+    homogeneous basis hom_gb, the source of the reduced relations shown
+    by presentations, is derived from that one Groebner basis on first
     read and then kept.  Degrees are cods; a view that doubles them
     (the ambient M) is a display concern of the caller.
     """
@@ -405,8 +411,16 @@ class QuotientRing:
 
     @cached_property
     def hom_gb(self):
-        """Saturated homogeneous basis, computed on first read."""
-        return saturate_t(buchberger(self.generators, nvars=self.nvars))
+        """Reduced basis of I : t^infinity, derived from gb on first read.
+
+        For homogeneous I, I : t^infinity is the homogenization of I at
+        t = 1, and homogenizing each element of the reduced grevlex basis
+        gb (t smallest) gives its reduced basis, in the same order
+        (Cox-Little-O'Shea, IVA, Ch. 8 Sec. 4).  saturate_t computes the
+        same basis from the generators and is the test oracle.
+        """
+        return GroebnerBasis(tuple(map(_homogenize, self.gb.generators)),
+                             self.gb.order, True, self.nvars)
 
     def _standard_monomials(self):
         lms = [lm(g) for g in self.gb.generators]

@@ -219,18 +219,49 @@ def invert(ring, a):
     return x
 
 
+def _facet_element(ring, j):
+    exps = [0] * ring.nvars
+    exps[j - 1] = 1
+    return element_from_monomial(ring, exps, qexp=1)
+
+
 def seidel_facet(ring, j):
-    """Seidel element of the facet-j half rotation: X_j q, verified invertible."""
+    """Seidel element of the facet-j half rotation: X_j q, verified invertible.
+
+    The first call on a ring builds every S_k = X_k q and inverts their
+    product P once, keeping P^-1.  In a commutative ring a product is a
+    unit iff every factor is, so that one inversion verifies all d facets;
+    if P is not a unit, no facet of the ring is verified and every call
+    raises NotInvertibleError.  seidel_inverse derives each S_k^-1 from
+    P^-1 on demand.
+    """
     key = ("seidel", j)
     if key not in ring.cache:
         if not 1 <= j <= ring.nvars:
             raise ValueError(f"facet index {j} out of range")
-        exps = [0] * ring.nvars
-        exps[j - 1] = 1
-        el = element_from_monomial(ring, exps, qexp=1)
-        inv = invert(ring, el)
-        ring.cache[key] = SeidelElement(el, j)
-        ring.cache[("seidel_inv", j)] = inv
+        facets = [_facet_element(ring, k) for k in range(1, ring.nvars + 1)]
+        prod = unit(ring)
+        for el in facets:
+            prod = multiply(ring, prod, el)
+        ring.cache["seidel_product_inv"] = invert(ring, prod)
+        for k, el in enumerate(facets, start=1):
+            ring.cache[("seidel", k)] = SeidelElement(el, k)
+    return ring.cache[key]
+
+
+def seidel_inverse(ring, j):
+    """S_j^-1 = P^-1 * prod_{k != j} S_k, checked against the unit."""
+    key = ("seidel_inv", j)
+    if key not in ring.cache:
+        s = seidel_facet(ring, j).element
+        inv = ring.cache["seidel_product_inv"]
+        for k in range(1, ring.nvars + 1):
+            if k != j:
+                inv = multiply(ring, inv, ring.cache[("seidel", k)].element)
+        if multiply(ring, s, inv) != unit(ring):
+            raise NotInvertibleError(
+                "derived facet inverse failed verification")
+        ring.cache[key] = inv
     return ring.cache[key]
 
 
@@ -243,9 +274,8 @@ def seidel_composite(ring, c):
     for j, cj in enumerate(c, start=1):
         if cj == 0:
             continue
-        seidel_facet(ring, j)
-        factor = ring.cache[("seidel", j)].element if cj > 0 \
-            else ring.cache[("seidel_inv", j)]
+        factor = seidel_facet(ring, j).element if cj > 0 \
+            else seidel_inverse(ring, j)
         for _ in range(abs(cj)):
             acc = multiply(ring, acc, factor)
     return SeidelElement(acc, c)
@@ -273,17 +303,16 @@ def verify_psi(p, ring):
 
 
 def uniruled_certificate(ring):
-    """Invertible Seidel witness with no fundamental-class term."""
-    exps = [0] * ring.nvars
-    exps[0] = 1
-    el = element_from_monomial(ring, exps, qexp=1)
-    witness = SeidelElement(el, 1)
-    fundamental = el.coeffs.get(ring.basis[0], frozenset())
+    """Invertible Seidel witness S_1 with no fundamental-class term."""
     try:
-        inv = invert(ring, el)
+        witness = seidel_facet(ring, 1)
+        inv = seidel_inverse(ring, 1)
     except NotInvertibleError as err:
+        witness = SeidelElement(_facet_element(ring, 1), 1)
+        fundamental = witness.element.coeffs.get(ring.basis[0], frozenset())
         return UniruledCertificate(witness, None, fundamental,
                                    "inconclusive", str(err))
+    fundamental = witness.element.coeffs.get(ring.basis[0], frozenset())
     if fundamental:
         return UniruledCertificate(witness, inv, fundamental, "inconclusive",
                                    "witness carries a fundamental-class term")

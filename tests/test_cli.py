@@ -235,6 +235,30 @@ def test_one_morse_sweep_per_selfcheck(monkeypatch):
     assert (code, len(calls)) == (0, 6)
 
 
+def test_one_inversion_per_selfcheck(monkeypatch, tmp_path, perfbench_module):
+    # the seidel_relations and uniruled stages rest on one inverse: that of
+    # the product of the facet elements, which certifies every facet
+    import toric_qh.qh as qh
+    from toric_qh.polytope import Polytope
+
+    base = perfbench_module("inputs").named_bases()["cp2xcp2"]
+    path = tmp_path / "cp2xcp2.json"
+    path.write_text(json.dumps(polytope_to_json(
+        Polytope.from_facets(base.dim, base.facets))), encoding="utf-8")
+    calls = []
+    real = qh.invert
+
+    def counting(ring, a):
+        calls.append(a)
+        return real(ring, a)
+
+    monkeypatch.setattr(qh, "invert", counting)
+    for source in ("blowup_cp3", str(path)):
+        calls.clear()
+        code, _ = run(["selfcheck", source])
+        assert (code, len(calls)) == (0, 1), source
+
+
 def test_polytope_freed_with_its_derived_data(tmp_path):
     # derived data lives on the polytope, not in a process-wide cache,
     # so nothing keeps a polytope alive once its caller drops it

@@ -4,7 +4,14 @@ import pytest
 
 from toric_qh.cli import builtin_polytope
 from toric_qh.errors import NotInvertibleError
-from toric_qh.f2ring import QHElement, QuotientRing, hilbert_function, mono
+from toric_qh.f2ring import (
+    QHElement,
+    QuotientRing,
+    buchberger,
+    hilbert_function,
+    mono,
+    saturate_t,
+)
 from toric_qh.qh import (
     betti_crosscheck,
     build_ring,
@@ -18,6 +25,7 @@ from toric_qh.qh import (
     scaled_hilbert,
     seidel_composite,
     seidel_facet,
+    seidel_inverse,
     uniruled_certificate,
     unit,
     verify_psi,
@@ -422,7 +430,8 @@ def test_seidel_facet_blowup_frozen():
     assert s4.element.homogeneous_cod == 0
     s1 = seidel_facet(ring, 1)
     assert s1.element.coeffs == {mono((0, 0, 0, 0, 1)): frozenset({1})}
-    assert ("seidel", 4) in ring.cache and ("seidel_inv", 4) in ring.cache
+    assert ("seidel", 4) in ring.cache
+    assert seidel_inverse(ring, 4) == invert(ring, s4.element)
 
 
 def test_seidel_square_on_segment():
@@ -466,6 +475,64 @@ def test_seidel_composite_squares():
             sq = multiply(ring, s.element, s.element)
             c = tuple(2 if k == j else 0 for k in range(1, ring.nvars + 1))
             assert sq == seidel_composite(ring, c).element
+
+
+def corpus_polytopes(perfbench_module):
+    """The builtins, then every perfbench base."""
+    bases = perfbench_module("inputs").named_bases()
+    return [builtin_polytope(name) for name in BUILTINS] + [
+        Polytope.from_facets(b.dim, b.facets) for b in bases.values()]
+
+
+def test_seidel_inverse_matches_invert(perfbench_module):
+    # S_j^-1 is derived from the inverse of the product of all facet
+    # elements; invert computes it afresh from S_j alone
+    for p in corpus_polytopes(perfbench_module):
+        ring, _ = build_ring(p)
+        for j in range(1, ring.nvars + 1):
+            s = seidel_facet(ring, j).element
+            assert seidel_inverse(ring, j) == invert(ring, s), (p, j)
+
+
+def test_seidel_composite_negation_is_inverse():
+    rng = random.Random(53)
+    for name in ("cp3", "cp1xcp1", "blowup_cp3"):
+        ring, _ = build_ring(builtin_polytope(name))
+        for _ in range(20):
+            c = [rng.randrange(-3, 4) for _ in range(ring.nvars)]
+            c[rng.randrange(ring.nvars)] = -rng.randrange(1, 4)
+            neg = [-x for x in c]
+            prod = multiply(ring, seidel_composite(ring, c).element,
+                            seidel_composite(ring, neg).element)
+            assert prod == unit(ring), (name, c)
+
+
+def test_nilpotent_facet_is_not_verified():
+    # F2[X1, X2] / (X1^2, X2^2 + t^2): S_1 = X1 q squares to zero, so the
+    # product of the facet elements is no unit and no facet is verified,
+    # although S_2 = X2 q is its own inverse
+    ring = QuotientRing((poly(((2, 0), 0)), poly(((0, 2), 0), ((0, 0), 2))),
+                        nvars=2)
+    assert ring.dim == 4
+    s1 = element_from_monomial(ring, (1, 0), qexp=1)
+    s2 = element_from_monomial(ring, (0, 1), qexp=1)
+    assert multiply(ring, s1, s1).is_zero()
+    assert multiply(ring, s2, s2) == unit(ring)
+    for j in (1, 2):
+        with pytest.raises(NotInvertibleError):
+            seidel_facet(ring, j)
+    cert = uniruled_certificate(ring)
+    assert cert.verdict == "inconclusive"
+    assert cert.inverse is None and cert.reason
+    assert cert.witness.element == s1 and cert.witness.provenance == 1
+
+
+def test_hom_gb_matches_saturation_oracle(perfbench_module):
+    for p in corpus_polytopes(perfbench_module):
+        for flavor in ("quantum", "classical"):
+            ring, _ = build_ring(p, flavor=flavor)
+            oracle = saturate_t(buchberger(ring.generators, nvars=ring.nvars))
+            assert ring.hom_gb == oracle, (p, flavor)
 
 
 def test_seidel_relations_all_builtins():

@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -53,3 +54,25 @@ def test_benchmark_entry_points_resolve(perfbench_module):
     ring, pres = build_ring(builtin_polytope("blowup_cp3"), "L", "quantum")
     assert isinstance(ring, QuotientRing) and isinstance(pres, Presentation)
     assert (pres.space, pres.flavor, ring.dim) == ("L", "quantum", 6)
+
+
+def test_bench_files_name_declared_workloads_and_metrics():
+    # BENCH_<pr>.json keeps one change's perfbench result lines, so the
+    # trajectory can be read as data; a workload or metric that
+    # BENCHMARK.json does not declare could not be compared across files
+    root = SCRIPTS.parent
+    spec = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in spec["workloads"]}
+    metrics = {m["name"] for m in spec["end_to_end"] + spec["per_layer"]}
+    files = sorted(root.glob("BENCH_*.json"))
+    assert files
+    for path in files:
+        runs = json.loads(path.read_text(encoding="utf-8"))
+        assert isinstance(runs, list) and runs, path.name
+        for run in runs:
+            assert run["side"] in ("parent", "change"), path.name
+            assert run["workload"] in workloads, (path.name, run["workload"])
+            assert isinstance(run["seed"], int) and run["trace"] in (0, 1)
+            if run["result"] is not None:
+                names = set(run["result"]["metrics"])
+                assert names <= metrics, (path.name, names - metrics)
