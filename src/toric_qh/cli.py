@@ -193,7 +193,6 @@ class DisplayMap:
             (e2, td), = nf
             if td == 0 and sum(e2) == 1:
                 members.setdefault(e2.index(1) + 1, []).append(i)
-        self.survivors = tuple(sorted(members))
         self._num = {s: min(ms) for s, ms in members.items()}
         self.var_name = {s: prefix + str(self._num[s]) for s in members}
         self.class_members = {self.var_name[s]: sorted(members[s])
@@ -212,10 +211,15 @@ class DisplayMap:
         return self._num[s]
 
     def term_factors(self, exps, raw=False):
-        items = [(self.num_of(s, raw), self.name_of(s, raw), exps[s - 1])
-                 for s in range(1, len(exps) + 1) if exps[s - 1]]
-        items.sort()
-        return [(name, e) for _, name, e in items]
+        """A monomial's factors as strings, name or name^power, in the
+        numeric order of their names."""
+        items = sorted((self.num_of(s, raw), self.name_of(s, raw), e)
+                       for s, e in enumerate(exps, start=1) if e)
+        return [name if e == 1 else f"{name}^{e}" for _, name, e in items]
+
+
+def render_element_monomial(m, dmap):
+    return "*".join(dmap.term_factors(m[0])) or "L"
 
 
 def render_element(el, dmap):
@@ -226,9 +230,7 @@ def render_element(el, dmap):
     pairs.sort(key=lambda p: (grevlex_key(p[0]), p[1]), reverse=True)
     parts = []
     for m, e in pairs:
-        factors = [name if p == 1 else f"{name}^{p}"
-                   for name, p in dmap.term_factors(m[0])]
-        base = "*".join(factors) if factors else "L"
+        base = render_element_monomial(m, dmap)
         if e:
             base += "*" + (dmap.qsym if e == 1 else f"{dmap.qsym}^{e}")
         parts.append(base)
@@ -241,8 +243,7 @@ def render_poly(f, dmap, raw=False):
         return "0"
     parts = []
     for exps, td in sorted(f, key=grevlex_key, reverse=True):
-        factors = [name if p == 1 else f"{name}^{p}"
-                   for name, p in dmap.term_factors(exps, raw)]
+        factors = dmap.term_factors(exps, raw)
         if td:
             factors.append(f"{dmap.qsym}^{-td}")
         parts.append("*".join(factors) if factors else "1")
@@ -429,12 +430,6 @@ def _cmd_presentation(args):
                     for a, s in dmap.alias_to_var.items()},
     }
     return payload, 0
-
-
-def render_element_monomial(m, dmap):
-    factors = [name if p == 1 else f"{name}^{p}"
-               for name, p in dmap.term_factors(m[0])]
-    return "*".join(factors) if factors else "L"
 
 
 def _quantum_l(args):

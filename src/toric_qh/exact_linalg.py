@@ -149,26 +149,6 @@ def solve_rational(m, b):
     return tuple(Fraction(row[0], d * scale) for row in x)
 
 
-def adjugate(m):
-    """(det m, adj m), with m * adj m = det(m) * I.
-
-    One elimination gives both for nonsingular m.  For singular m the
-    adjugate is read off its cofactors; it is nonzero only at rank n-1.
-    """
-    m = mat(m)
-    n = len(m)
-    d, adj = _gauss_jordan(m, identity(n))
-    if d:
-        return d, mat(adj)
-    if n == 1:
-        return 0, ((1,),)
-    return 0, tuple(
-        tuple((-1) ** (i + j) * det(tuple(r[:i] + r[i + 1:]
-                                          for k, r in enumerate(m) if k != j))
-              for j in range(n))
-        for i in range(n))
-
-
 def det(m):
     """Exact determinant: the last pivot of the fraction-free elimination."""
     m = mat(m)

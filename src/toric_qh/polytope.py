@@ -26,12 +26,10 @@ from .errors import (
 )
 from .exact_linalg import (
     _gauss_jordan,
-    adjugate,
     hermite_normal_form,
     identity,
     kernel_lattice_basis,
     mat,
-    solve_rational,
 )
 
 
@@ -115,54 +113,27 @@ def _memoized(fn):
     return cached
 
 
-def _feasible_points(p):
-    """Solutions of the nonsingular dim-subsets of facet equations that
-    satisfy every inequality, in ``combinations`` order, with repeats."""
-    for subset in combinations(range(p.nfacets), p.dim):
-        x = solve_rational(mat(p.normals[i] for i in subset),
-                           tuple(p.offsets[i] for i in subset))
-        if x is not None and all(_dot(v, x) >= a
-                                 for v, a in zip(p.normals, p.offsets)):
-            yield x
+def _scaled_offsets(p):
+    """(L, L * offsets), with L the lcm of the offset denominators."""
+    scale = lcm(*(a.denominator for a in p.offsets))
+    return scale, [a.numerator * (scale // a.denominator) for a in p.offsets]
 
 
-def _vertex(p, coords):
-    """The Vertex at ``coords``, with its full tight set.
+def _subset_solutions(p):
+    """Feasible solutions of the nonsingular dim-subsets of facet equations,
+    in integers, in ``combinations`` order, with repeats.
 
-    A simple vertex's tight normal matrix V gets one integer elimination,
-    which yields det V and adj V; when |det V| = 1, V^-1 = det(V) * adj V
-    is integral and its columns are the edge directions w_j, V * w_j = e_j.
-    """
-    tight = tuple(i + 1 for i, (v, a) in enumerate(zip(p.normals, p.offsets))
-                  if _dot(v, coords) == a)
-    ndet = dirs = None
-    if len(tight) == p.dim:
-        ndet, adj = adjugate(p.normals[i - 1] for i in tight)
-        if ndet in (1, -1):
-            dirs = tuple(tuple(ndet * row[j] for row in adj)
-                         for j in range(p.dim))
-    return Vertex(coords, tight, ndet, dirs)
-
-
-def _sweep_vertices(p):
-    """Vertices by solving every dim-subset of facets; coincident solutions
-    merge.  Handles any input, so it is the edge walk's fallback."""
-    return tuple(_vertex(p, x) for x in sorted(set(_feasible_points(p))))
-
-
-def _integer_start(p, offs):
-    """The first point ``_feasible_points`` yields, as an integer vertex.
-
-    ``offs`` are the offsets scaled by the lcm L of their denominators.
-    Each dim-subset S, in ``combinations`` order, gets one fraction-free
-    elimination of [V_S | I | L*a_S], which gives D = det V_S, adj V_S
-    and X = D*L*x for the solution x of V_S x = a_S.  x is feasible iff
-    every slack sign(D) * (<v_k, X> - D*L*a_k) is >= 0.  Returns
-    (tight, det, L*x, slacks, edge directions) for the first feasible x,
-    or None when there is none or it is not simple and unimodular.
+    With L and the scaled offsets from ``_scaled_offsets``, each
+    dim-subset S gets one fraction-free elimination of
+    [V_S | I | L*a_S], which gives D = det V_S, adj V_S and X = D*L*x
+    for the solution x of V_S x = a_S.  x is feasible iff every slack
+    sign(D) * (<v_k, X> - D*L*a_k) = |D|*L*(<v_k, x> - a_k) is >= 0,
+    and facet k is tight at x iff its slack is 0.  Yields
+    (S, D, X, slacks, adj V_S) for each feasible x.
     """
     n = p.dim
     eye = identity(n)
+    _, offs = _scaled_offsets(p)
     for subset in combinations(range(p.nfacets), n):
         vdet, sol = _gauss_jordan([p.normals[i] for i in subset],
                                   [eye[j] + (offs[i],)
@@ -178,13 +149,39 @@ def _integer_start(p, offs):
                 break
             slack.append(s)
         else:
-            # a simple vertex is tight on S alone; |D| = 1 makes V_S^-1 =
-            # D * adj V_S integral, with the edge directions as columns
-            if slack.count(0) != n or vdet not in (1, -1):
-                return None
-            dirs = [[vdet * row[j] for row in sol] for j in range(n)]
-            return (list(subset), vdet, [vdet * c for c in xs], slack, dirs)
-    return None
+            yield subset, vdet, xs, slack, [row[:n] for row in sol]
+
+
+def _edge_dirs(vdet, adj):
+    """For |det V| = 1, V^-1 = det(V) * adj V is integral; its columns are
+    the edge directions w_j, V * w_j = e_j."""
+    return [[vdet * row[j] for row in adj] for j in range(len(adj))]
+
+
+def _sweep_vertices(p):
+    """Vertices from every feasible subset solution; coincident solutions
+    merge.  Handles any input, so it is the edge walk's fallback.
+
+    A vertex is named by its tight set, the zero slacks, which contains
+    an independent dim-subset and so fixes the point.  A simple vertex is
+    tight on the one subset that yields it, whose elimination already
+    gives det V and, when |det V| = 1, the edge directions.
+    """
+    n = p.dim
+    scale, _ = _scaled_offsets(p)
+    found = {}
+    for _, vdet, xs, slack, adj in _subset_solutions(p):
+        tight = tuple(k + 1 for k, s in enumerate(slack) if s == 0)
+        if tight in found:
+            continue
+        ndet = dirs = None
+        if len(tight) == n:
+            ndet = vdet
+            if vdet in (1, -1):
+                dirs = tuple(map(tuple, _edge_dirs(vdet, adj)))
+        coords = tuple(Fraction(x, vdet * scale) for x in xs)
+        found[tight] = Vertex(coords, tight, ndet, dirs)
+    return tuple(sorted(found.values(), key=lambda v: v.coords))
 
 
 @_memoized
@@ -197,7 +194,7 @@ def _walk_vertices(p):
     X = L*x, the slacks <v_k, X> - L*a_k and the pairings
     r_jk = <v_k, w_j> with its edge directions.  The start is the first
     feasible solution of a dim-subset of facet equations
-    (``_integer_start``); its pairings with its own tight facets are
+    (``_subset_solutions``); its pairings with its own tight facets are
     delta_jk, since V * W = I, so only the other d - n are computed.
     Leaving along w_i, the first facet k to block it (least
     slack_k / -r_ik over r_ik < 0, by cross-multiplication) swaps in for
@@ -211,12 +208,17 @@ def _walk_vertices(p):
     sorted on X; Fractions are built once, for the output.
     """
     n = p.dim
-    scale = lcm(*(a.denominator for a in p.offsets))
-    offs = [a.numerator * (scale // a.denominator) for a in p.offsets]
-    start = _integer_start(p, offs)
+    scale, _ = _scaled_offsets(p)
+    start = next(_subset_solutions(p), None)
     if start is None:
         return None
-    tight, vdet, xs, slack, dirs = start
+    subset, vdet, xs, slack, adj = start
+    # a simple vertex is tight on its own subset alone
+    if slack.count(0) != n or vdet not in (1, -1):
+        return None
+    tight = list(subset)
+    xs = [vdet * c for c in xs]
+    dirs = _edge_dirs(vdet, adj)
     place = {k: j for j, k in enumerate(tight)}
     pairs = [[int(place[k] == j) if k in place else _dot(v, w)
               for k, v in enumerate(p.normals)]
@@ -305,8 +307,9 @@ def _rank(rows):
 
 
 def _feasible(p):
-    """Exact Fourier-Motzkin feasibility of {x : <x, v_i> >= a_i}."""
-    cons = [([Fraction(x) for x in v], Fraction(a)) for v, a in zip(p.normals, p.offsets)]
+    """Exact Fourier-Motzkin feasibility of {x : <x, v_i> >= a_i}, on the
+    scaled integer offsets: elimination adds only positive multiples."""
+    cons = list(zip(p.normals, _scaled_offsets(p)[1]))
     for k in range(p.dim - 1, -1, -1):
         pos = [(c, b) for c, b in cons if c[k] > 0]
         neg = [(c, b) for c, b in cons if c[k] < 0]

@@ -265,6 +265,19 @@ def seidel_inverse(ring, j):
     return ring.cache[key]
 
 
+def _power(ring, x, k):
+    """x^k for k >= 1 by square-and-multiply: O(log k) products, and
+    k - 1 of them for k <= 3."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else multiply(ring, out, x)
+        k >>= 1
+        if not k:
+            return out
+        x = multiply(ring, x, x)
+
+
 def seidel_composite(ring, c):
     """Product of facet Seidel elements with integer multiplicities."""
     c = tuple(int(x) for x in c)
@@ -276,8 +289,7 @@ def seidel_composite(ring, c):
             continue
         factor = seidel_facet(ring, j).element if cj > 0 \
             else seidel_inverse(ring, j)
-        for _ in range(abs(cj)):
-            acc = multiply(ring, acc, factor)
+        acc = multiply(ring, acc, _power(ring, factor, abs(cj)))
     return SeidelElement(acc, c)
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toric_qh.exact_linalg import (
-    adjugate,
     det,
     hermite_normal_form,
     identity,
@@ -67,12 +66,6 @@ def solve_gauss(m, b):
                 f = rows[i][k]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[k])]
     return tuple(r[n] for r in rows)
-
-
-def cofactor_gauss(m, i, j):
-    """Independent oracle: (-1)^(i+j) times the minor without row i, column j."""
-    minor = [r[:j] + r[j + 1:] for k, r in enumerate(m) if k != i]
-    return (-1) ** (i + j) * (det_gauss(minor) if minor else 1)
 
 
 def singular_matrices(n):
@@ -237,27 +230,6 @@ def test_det_edge_cases():
 def test_transpose_involution():
     m = mat([(1, 2, 3), (4, 5, 6)])
     assert transpose(transpose(m)) == m
-
-
-@settings(max_examples=300, deadline=None)
-@given(any_square_matrices())
-def test_adjugate_matches_cofactor_oracle(m):
-    n = len(m)
-    d, adj = adjugate(m)
-    assert d == det_gauss(m)
-    assert mat_mul(m, adj) == tuple(
-        tuple(d * (i == j) for j in range(n)) for i in range(n))
-    assert adj == tuple(tuple(cofactor_gauss(m, j, i) for j in range(n))
-                        for i in range(n))
-
-
-def test_adjugate_singular_examples():
-    assert adjugate(((1, 2), (2, 4))) == (0, ((4, -2), (-2, 1)))
-    assert adjugate(((0, 0), (0, 0))) == (0, ((0, 0), (0, 0)))
-    # rank n - 2: every cofactor vanishes
-    assert adjugate(((1, 2, 3), (2, 4, 6), (3, 6, 9))) == \
-        (0, ((0, 0, 0), (0, 0, 0), (0, 0, 0)))
-    assert adjugate(((0,),)) == (0, ((1,),))
 
 
 rationals = st.builds(Fraction, st.integers(min_value=-20, max_value=20),

@@ -17,8 +17,8 @@ from toric_qh.exact_linalg import det, mat, mat_mul, transpose
 from toric_qh.polytope import (
     Polytope,
     PrimitiveCollection,
-    _feasible_points,
     _recession_ray,
+    _subset_solutions,
     _sweep_vertices,
     _walk_vertices,
     batyrev_vector,
@@ -591,7 +591,8 @@ def test_walk_matches_sweep(name):
 @pytest.mark.parametrize("name", WALK_CORPUS)
 def test_walk_stays_integer(name, monkeypatch):
     # start included, the walk never solves over Fractions and never
-    # reaches the sweep's helpers
+    # reaches the sweep
+    import toric_qh.exact_linalg as exact_linalg
     import toric_qh.polytope as polytope
 
     p = WALK_CORPUS[name]
@@ -600,8 +601,8 @@ def test_walk_stays_integer(name, monkeypatch):
     def banned(*args, **kwargs):
         raise AssertionError("the walk left the integers")
 
-    for helper in ("_feasible_points", "_vertex", "solve_rational", "adjugate"):
-        monkeypatch.setattr(polytope, helper, banned)
+    monkeypatch.setattr(polytope, "_sweep_vertices", banned)
+    monkeypatch.setattr(exact_linalg, "solve_rational", banned)
     assert _walk_vertices.__wrapped__(p) == want  # past the memo
 
 
@@ -646,7 +647,8 @@ def test_walk_falls_back_on_non_simple_start():
     p = Polytope.from_facets(3, [
         ((-1, 0, -1), -1), ((1, 0, -1), -1), ((0, -1, -1), -1),
         ((0, 1, -1), -1), ((0, 0, 1), 0)])
-    assert next(_feasible_points(p)) == (0, 0, 1)
+    _, vdet, xs, _, _ = next(_subset_solutions(p))
+    assert tuple(Fraction(x, vdet) for x in xs) == (0, 0, 1)
     assert _walk_vertices(p) is None
     assert validate_delzant(p).reasons == (
         "RejectNonSimple: vertex (0, 0, 1) has 4 tight facets, expected 3",)
@@ -658,6 +660,55 @@ def test_walk_keeps_redundant_facet_report():
     assert _walk_vertices(p) is not None
     assert validate_delzant(p).reasons == (
         "RejectRedundantFacet: facet 4 is tight at no vertex",)
+
+
+def _laplace_det(rows):
+    """Determinant by cofactor expansion along the first row."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * a
+               * _laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, a in enumerate(rows[0]) if a)
+
+
+# the rejected inputs of the fallback tests above
+REJECTED_INPUTS = {
+    "pyramid": Polytope.from_facets(3, [
+        ((0, 0, 1), 0), ((-1, 0, -1), -1), ((1, 0, -1), -1),
+        ((0, -1, -1), -1), ((0, 1, -1), -1)]),
+    "pyramid-apex-first": Polytope.from_facets(3, [
+        ((-1, 0, -1), -1), ((1, 0, -1), -1), ((0, -1, -1), -1),
+        ((0, 1, -1), -1), ((0, 0, 1), 0)]),
+    "det2-square": Polytope(2, ((1, 0), (-1, 0), (1, 2), (0, -1)),
+                            (0, -1, 0, -1)),
+    "det2-square-reordered": Polytope(2, ((1, 0), (0, -1), (-1, 0), (1, 2)),
+                                      (0, -1, -1, 0)),
+    "tied-corner": Polytope(2, ((1, 0), (-1, -1), (0, 1), (1, 1)),
+                            (0, -1, 0, 0)),
+    "quadrant": Polytope(2, ((1, 0), (0, 1)), (0, 0)),
+    "redundant-facet": Polytope(2, ((1, 0), (0, 1), (-1, -1), (1, 1)),
+                                (0, 0, -1, -5)),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED_INPUTS)
+def test_sweep_matches_oracle_on_rejected_inputs(name):
+    p = REJECTED_INPUTS[name]
+    n = p.dim
+    swept = _sweep_vertices(p)
+    assert {v.coords: set(v.tight) for v in swept} == _oracle_tight_sets(p)
+    assert [v.coords for v in swept] == sorted(v.coords for v in swept)
+    for v in swept:
+        assert list(v.tight) == sorted(v.tight)
+        rows = [p.normals[i - 1] for i in v.tight]
+        simple = len(rows) == n
+        assert v.normal_det == (_laplace_det(rows) if simple else None)
+        if simple and v.normal_det in (1, -1):
+            for j, w in enumerate(v.edge_dirs):
+                assert [_pair(r, w) for r in rows] == \
+                    [int(k == j) for k in range(n)]
+        else:
+            assert v.edge_dirs is None
 
 
 def _brute_primitive_collections(tight_sets, d):

@@ -477,6 +477,63 @@ def test_seidel_composite_squares():
             assert sq == seidel_composite(ring, c).element
 
 
+def _count_multiplies(monkeypatch, limit=None):
+    """Count qh's products; past ``limit`` fail at once instead of
+    running on."""
+    import toric_qh.qh as qh
+
+    calls = []
+
+    def counted(ring, a, b):
+        calls.append(1)
+        assert limit is None or len(calls) <= limit, "too many products"
+        return multiply(ring, a, b)
+
+    monkeypatch.setattr(qh, "multiply", counted)
+    return calls
+
+
+def test_seidel_composite_matches_repeated_product():
+    ring = blowup_ring()
+    for j in range(1, ring.nvars + 1):
+        s = seidel_facet(ring, j).element
+        for cj in range(-6, 7):
+            factor = s if cj > 0 else invert(ring, s)
+            want = unit(ring)
+            for _ in range(abs(cj)):
+                want = multiply(ring, want, factor)
+            c = tuple(cj if k == j else 0 for k in range(1, ring.nvars + 1))
+            assert seidel_composite(ring, c).element == want, (j, cj)
+
+
+def test_seidel_composite_multiplicity_costs_log_products(monkeypatch):
+    ring = blowup_ring()
+    for j in range(1, ring.nvars + 1):
+        seidel_inverse(ring, j)  # derive and cache every facet inverse
+    # per facet two composites of at most 2 * 30 + 1 products each,
+    # since 10^9 < 2^30
+    calls = _count_multiplies(monkeypatch, limit=ring.nvars * 2 * (2 * 30 + 1))
+    for j in range(1, ring.nvars + 1):
+        c = tuple(10 ** 9 if k == j else 0 for k in range(1, ring.nvars + 1))
+        pos = seidel_composite(ring, c).element
+        neg = seidel_composite(ring, [-x for x in c]).element
+        assert multiply(ring, pos, neg) == unit(ring), j
+
+
+def test_seidel_composite_small_multiplicities_keep_product_count(monkeypatch):
+    # |c_j| <= 2 costs |c_j| products, as one product per factor did
+    ring = blowup_ring()
+    for j in range(1, ring.nvars + 1):
+        seidel_inverse(ring, j)
+    calls = _count_multiplies(monkeypatch)
+    rng = random.Random(59)
+    for _ in range(100):
+        c = [rng.randrange(-2, 3) for _ in range(ring.nvars)]
+        del calls[:]
+        seidel_composite(ring, c)
+        assert len(calls) == sum(map(abs, c)), c
+
+
 def corpus_polytopes(perfbench_module):
     """The builtins, then every perfbench base."""
     bases = perfbench_module("inputs").named_bases()
