@@ -144,6 +144,8 @@ def load_polytope(source):
     except json.JSONDecodeError as err:
         raise ParseError(f"invalid JSON: {err.msg}",
                          line=err.lineno, col=err.colno) from err
+    except ValueError as err:  # a number past the int-string digit limit
+        raise ParseError(f"invalid JSON: {err}") from err
     return polytope_from_data(data)
 
 
@@ -279,7 +281,11 @@ class _ExprParser:
             self.pos += 1
         if self.pos == digits:
             self.fail("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # past the interpreter's int-string digit limit
+            self.pos = start
+            self.fail("integer too long")
 
     def parse(self):
         el = self.term()

@@ -88,8 +88,6 @@ class DelzantReport:
     ok: bool
     reasons: tuple  # human-readable, each starting with its Reject code
     vertices: tuple
-    tight_counts: tuple
-    normal_dets: tuple
 
 
 def _dot(v, x):
@@ -189,25 +187,28 @@ def _walk_vertices(p):
     """Vertices by walking the edges of a simple unimodular polytope, or
     None when the walk cannot vouch for its answer.
 
-    Avis-Fukuda pivoting (DCG 8, 1992), kept in integers from start to
-    output: with L the lcm of the offset denominators, a vertex carries
-    X = L*x, the slacks <v_k, X> - L*a_k and the pairings
-    r_jk = <v_k, w_j> with its edge directions.  The start is the first
+    Avis-Fukuda pivoting (DCG 8, 1992) on one integer tableau, kept in
+    integers from start to output.  Its columns are the d facet normals
+    followed by the n coordinate functionals e_1..e_n.  With L the lcm of
+    the offset denominators, a vertex carries its sorted tight facets, its
+    signed det V, a base row [slack_k | X], with X = L*x and
+    slack_k = <v_k, X> - L*a_k, and one row [r_jk | w_j] per edge
+    direction w_j, with r_jk = <v_k, w_j>.  The start is the first
     feasible solution of a dim-subset of facet equations
     (``_subset_solutions``); its pairings with its own tight facets are
     delta_jk, since V * W = I, so only the other d - n are computed.
     Leaving along w_i, the first facet k to block it (least
     slack_k / -r_ik over r_ik < 0, by cross-multiplication) swaps in for
     facet i.  Since det V' = det(V) * r_ik (determinant lemma), the next
-    vertex is unimodular iff r_ik = -1, and then the step is slack_k and
-    the pivot is rank one: w'_i = -w_i, w'_j = w_j + r_jk * w_i, and the
-    same for the pairings.  Returns None, so that the caller falls back
+    vertex is unimodular iff r_ik = -1, and then the pivot is one rank-1
+    update of the tableau: base += slack_k * row_i, row_i := -row_i and
+    row_j += r_jk * row_i.  Returns None, so that the caller falls back
     to the sweep, when the start vertex is not simple and unimodular, an
     edge has no blocking facet (unbounded), the ratio test ties (the next
     vertex is not simple) or r_ik != -1 (not unimodular).  Vertices are
     sorted on X; Fractions are built once, for the output.
     """
-    n = p.dim
+    n, d = p.dim, p.nfacets
     scale, _ = _scaled_offsets(p)
     start = next(_subset_solutions(p), None)
     if start is None:
@@ -216,34 +217,34 @@ def _walk_vertices(p):
     # a simple vertex is tight on its own subset alone
     if slack.count(0) != n or vdet not in (1, -1):
         return None
+    place = {k: j for j, k in enumerate(subset)}
+    rows = [[int(place[k] == j) if k in place else _dot(v, w)
+             for k, v in enumerate(p.normals)] + w
+            for j, w in enumerate(_edge_dirs(vdet, adj))]
+    base = slack + [vdet * c for c in xs]
     tight = list(subset)
-    xs = [vdet * c for c in xs]
-    dirs = _edge_dirs(vdet, adj)
-    place = {k: j for j, k in enumerate(tight)}
-    pairs = [[int(place[k] == j) if k in place else _dot(v, w)
-              for k, v in enumerate(p.normals)]
-             for j, w in enumerate(dirs)]
-    todo = [(tight, vdet, xs, slack, dirs, pairs)]
-    seen = {_mask(i + 1 for i in tight)}
+    todo = [(tight, vdet, base, rows)]
+    # facet k is column k and bit k of a vertex's or an edge's mask
+    seen = {sum(1 << k for k in tight)}
     # edges by their n-1 tight facets: an edge is walked from one end only,
     # since from the other end its ratio test blocks at the (simple) first
     # end, uniquely and with r = -1
     followed = set()
-    out = [(xs, tight, vdet, dirs)]
+    out = [(base[d:], tight, vdet, rows)]
     while todo:
-        tight, vdet, xs, slack, dirs, pairs = todo.pop()
-        mask = _mask(i + 1 for i in tight)
+        tight, vdet, base, rows = todo.pop()
+        mask = sum(1 << k for k in tight)
         for i in range(n):
             edge = mask & ~(1 << tight[i])
             if edge in followed:
                 continue
             followed.add(edge)
-            r = pairs[i]
+            r = rows[i]
             k, tie = None, False
-            for j in [j for j, x in enumerate(r) if x < 0]:
-                if k is None or slack[j] * -r[k] < slack[k] * -r[j]:
+            for j in [j for j in range(d) if r[j] < 0]:
+                if k is None or base[j] * -r[k] < base[k] * -r[j]:
                     k, tie = j, False
-                elif slack[j] * -r[k] == slack[k] * -r[j]:
+                elif base[j] * -r[k] == base[k] * -r[j]:
                     tie = True
             if k is None or tie or r[k] != -1:
                 return None
@@ -252,32 +253,27 @@ def _walk_vertices(p):
             seen.add(edge | 1 << k)
             # rows that pair to zero with facet k are unchanged and shared;
             # no row is mutated in place
-            step, wi = slack[k], dirs[i]
-            col = [rj[k] for rj in pairs]
-            ndirs = [[a + c * b for a, b in zip(w, wi)] if c else w
-                     for w, c in zip(dirs, col)]
-            npairs = [[a + c * b for a, b in zip(rj, r)] if c else rj
-                      for rj, c in zip(pairs, col)]
+            step, col = base[k], [rj[k] for rj in rows]
+            nrows = [[a + c * b for a, b in zip(rj, r)] if c else rj
+                     for rj, c in zip(rows, col)]
             # facet k takes position i, where det V' = -det V, then moves
             # to its sorted position; each place it passes flips the sign
             ntight = tight[:i] + tight[i + 1:]
             pos = bisect(ntight, k)
             ntight.insert(pos, k)
-            del ndirs[i], npairs[i]
-            ndirs.insert(pos, [-b for b in wi])
-            npairs.insert(pos, [-b for b in r])
-            nxs = [a + step * b for a, b in zip(xs, wi)]
+            del nrows[i]
+            nrows.insert(pos, [-b for b in r])
+            nbase = [a + step * b for a, b in zip(base, r)]
             nvdet = vdet if (pos - i) % 2 else -vdet
-            todo.append((ntight, nvdet, nxs,
-                         [a + step * b for a, b in zip(slack, r)], ndirs, npairs))
-            out.append((nxs, ntight, nvdet, ndirs))
+            todo.append((ntight, nvdet, nbase, nrows))
+            out.append((nbase[d:], ntight, nvdet, nrows))
     out.sort()
     # coordinates repeat across vertices: each Fraction is built once
     frac = {c: Fraction(c, scale) for c in set().union(*(v[0] for v in out))}
     return tuple(Vertex(tuple(map(frac.get, xs)),
                         tuple(t + 1 for t in tight), vdet,
-                        tuple(map(tuple, dirs)))
-                 for xs, tight, vdet, dirs in out)
+                        tuple(tuple(row[d:]) for row in rows))
+                 for xs, tight, vdet, rows in out)
 
 
 @_memoized
@@ -365,14 +361,14 @@ def validate_delzant(p):
         elif gcd(*(abs(x) for x in v)) != 1:
             reasons.append(f"RejectNonPrimitiveNormal: facet {i + 1} normal {v}")
     if reasons:
-        return DelzantReport(False, tuple(reasons), (), (), ())
+        return DelzantReport(False, tuple(reasons), ())
     verts = enumerate_vertices(p)
     if not verts:
         if _rank(p.normals) < n and _feasible(p):
             reasons.append("RejectUnbounded: feasible region contains a line")
         else:
             reasons.append("RejectEmpty: no point satisfies all facet inequalities")
-        return DelzantReport(False, tuple(reasons), (), (), ())
+        return DelzantReport(False, tuple(reasons), ())
     # A completed edge walk left every vertex along bounded edges only.
     # The region is pointed (it has a vertex), and on a pointed polyhedron
     # an unbounded linear objective always leaves some vertex along an
@@ -380,9 +376,7 @@ def validate_delzant(p):
     ray = None if _walk_vertices(p) is not None else _recession_ray(p)
     if ray is not None:
         reasons.append(f"RejectUnbounded: recession direction {ray}")
-        return DelzantReport(False, tuple(reasons), verts,
-                             tuple(len(v.tight) for v in verts),
-                             tuple(v.normal_det for v in verts))
+        return DelzantReport(False, tuple(reasons), verts)
     for v in verts:
         if len(v.tight) != n:
             reasons.append(f"RejectNonSimple: vertex {_coords_str(v.coords)} "
@@ -396,9 +390,7 @@ def validate_delzant(p):
     for i in range(1, d + 1):
         if i not in covered:
             reasons.append(f"RejectRedundantFacet: facet {i} is tight at no vertex")
-    return DelzantReport(not reasons, tuple(reasons), verts,
-                         tuple(len(v.tight) for v in verts),
-                         tuple(v.normal_det for v in verts))
+    return DelzantReport(not reasons, tuple(reasons), verts)
 
 
 def require_delzant(p):

@@ -17,3 +17,18 @@ def perfbench_module():
         spec.loader.exec_module(mod)
         return mod
     return load
+
+
+@pytest.fixture
+def low_degree_normal_forms(monkeypatch):
+    """Fail at once when a ring normal-forms a monomial of degree > 64,
+    as reducing a raw X_j^k did, in time linear in k."""
+    from toric_qh.f2ring import QuotientRing
+
+    nf = QuotientRing.normal_form
+
+    def bounded(self, f):
+        assert all(sum(e) <= 64 for e, _ in f), "normal form of a high power"
+        return nf(self, f)
+
+    monkeypatch.setattr(QuotientRing, "normal_form", bounded)

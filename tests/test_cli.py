@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import sys
 
 import pytest
 
@@ -412,6 +413,40 @@ def test_expression_parse_errors():
         assert code == 2, argv
         assert out.startswith("error["), argv
         assert needle in out, argv
+
+
+# CPython refuses str -> int past this many digits (0: no limit)
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(
+    not INT_DIGIT_LIMIT, reason="interpreter has no int-string digit limit")
+
+
+@needs_digit_limit
+def test_overlong_integer_in_expression_exits_two():
+    digits = "7" * (INT_DIGIT_LIMIT + 1)
+    for text, col in ((f"X1^{digits}", 4), (f"q^-{digits}", 3),
+                      (f"X{digits}", 2)):
+        code, out = run(["mul", text, "L", "blowup_cp3"])
+        assert code == 2, text[:4]
+        assert out.startswith(
+            f"error[ParseError]: integer too long at column {col} of "), \
+            text[:4]
+
+
+@needs_digit_limit
+def test_overlong_integer_in_polytope_file_exits_two(tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"dim": 1, "convention": "inward", "facets": ['
+                    '{"normal": [1], "offset": [0, 1]}, {"normal": [-1], '
+                    f'"offset": [-{"7" * (INT_DIGIT_LIMIT + 1)}, 1]}}]}}')
+    code, out = run(["validate", str(path)])
+    assert code == 2
+    assert out.startswith("error[ParseError]: invalid JSON: ")
+
+
+def test_monomial_power_answers_at_once(low_degree_normal_forms):
+    code, out = run(["mul", "X1^1000000000", "L", "blowup_cp3"])
+    assert (code, out) == (0, "X1*X4*q^-999999998 + L*q^-1000000000\n")
 
 
 def test_polytope_json_round_trip(tmp_path):

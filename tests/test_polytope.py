@@ -64,7 +64,7 @@ def test_builtins_are_delzant():
         report = validate_delzant(builtin_polytope(name))
         assert report.ok, name
         assert report.reasons == ()
-        assert all(abs(d) == 1 for d in report.normal_dets)
+        assert all(abs(v.normal_det) == 1 for v in report.vertices)
 
 
 def test_blowup_vertices_frozen():

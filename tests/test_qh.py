@@ -1,4 +1,6 @@
 import random
+from dataclasses import replace
+from itertools import product
 
 import pytest
 
@@ -10,6 +12,7 @@ from toric_qh.f2ring import (
     buchberger,
     hilbert_function,
     mono,
+    rehomogenize,
     saturate_t,
 )
 from toric_qh.qh import (
@@ -534,6 +537,69 @@ def test_seidel_composite_small_multiplicities_keep_product_count(monkeypatch):
         assert len(calls) == sum(map(abs, c)), c
 
 
+def test_element_from_monomial_matches_normal_form_oracle():
+    # oracle: one normal form of the raw monomial, the route taken for
+    # every degree before powers were raised by square-and-multiply
+    for name in ("blowup_cp3", "cp3", "cp1xcp1"):
+        ring, _ = build_ring(builtin_polytope(name))
+        for exps in product(range(5), repeat=ring.nvars):
+            if sum(exps) > 8:
+                continue
+            raw = frozenset({(exps, 0)})
+            want = rehomogenize(ring.normal_form(raw), sum(exps), ring)
+            got = element_from_monomial(ring, exps, qexp=-2)
+            assert got == want.qshift(-2), (name, exps)
+            assert got.homogeneous_cod == sum(exps) + 2, (name, exps)
+
+
+def test_element_from_monomial_power_costs_log_products(
+        monkeypatch, low_degree_normal_forms):
+    ring = blowup_ring()
+    k = 10 ** 9
+    want = seidel_composite(ring, (k, 0, 0, 0, 0)).element
+    calls = _count_multiplies(monkeypatch, limit=2 * 30 + 1)
+    # degree <= 1 is one normal form and no product, as facet elements
+    # and parsed generators always were
+    for j in range(ring.nvars + 1):
+        element_from_monomial(ring, [int(i + 1 == j) for i in range(5)])
+    assert not calls
+    # X1^k q^k = S_1^k
+    assert element_from_monomial(ring, (k, 0, 0, 0, 0), qexp=k) == want
+
+
+def test_seidel_relation_keeps_product_count(monkeypatch, perfbench_module):
+    # every |a_j| here is <= 3, where one product per factor and
+    # square-and-multiply cost the same
+    base = perfbench_module("inputs").named_bases()["cp2^3"]
+    cases = []
+    for p in (builtin_polytope("blowup_cp3"),
+              Polytope.from_facets(base.dim, base.facets)):
+        ring, _ = build_ring(p)
+        seidel_facet(ring, 1)  # the one inversion, outside the count
+        cases.append((ring, primitive_collection_data(p)))
+    calls = _count_multiplies(monkeypatch)
+    for ring, data in cases:
+        for pc in data:
+            assert max(-a for a in pc.batyrev) <= 3
+            del calls[:]
+            assert verify_seidel_relation(ring, pc)
+            assert len(calls) == len(pc.indices) + \
+                sum(-a for a in pc.batyrev if a < 0), pc
+
+
+def test_seidel_relation_rejects_wrong_weights():
+    # one more S_j on the right-hand side breaks every relation
+    p = builtin_polytope("blowup_cp3")
+    ring, _ = build_ring(p)
+    for pc in primitive_collection_data(p):
+        for j in range(ring.nvars):
+            if j + 1 not in pc.indices:
+                bad = list(pc.batyrev)
+                bad[j] -= 1
+                assert not verify_seidel_relation(
+                    ring, replace(pc, batyrev=tuple(bad))), (pc, j)
+
+
 def corpus_polytopes(perfbench_module):
     """The builtins, then every perfbench base."""
     bases = perfbench_module("inputs").named_bases()
@@ -659,7 +725,6 @@ def test_betti_crosscheck_builtins():
     blow = betti_crosscheck(builtin_polytope("blowup_cp3"))
     assert blow.betti == (1, 2, 2, 1)
     assert blow.hilbert == (1, 2, 2, 1)
-    assert blow.hilbert_scaled_m == (1, 0, 2, 0, 2, 0, 1)
 
 
 def test_scaled_hilbert_blowup():
