@@ -1,11 +1,12 @@
 """Print one sha256 over a fixed corpus of JSON reports.
 
-The corpus is every command on a few builtins and on the two rejected
-fixtures, plus ``presentation`` in all four space/flavor pairs on every
-base of the cli-oneshot benchmark ladder.  Selfcheck timings (``ms``)
-are masked, so two trees that compute the same reports print the same
-digest; compare it across commits to show that a change kept every
-report byte-identical.
+The corpus is every command on a few builtins and on six rejected
+fixtures (one empty, two containing a line, one with a recession ray,
+one non-simple, one non-unimodular), plus ``presentation`` in all four
+space/flavor pairs on every base of the cli-oneshot benchmark ladder.
+Selfcheck timings (``ms``) are masked, so two trees that compute the
+same reports print the same digest; compare it across commits to show
+that a change kept every report byte-identical.
 
     python scripts/report_digest.py [--list]
 
@@ -33,7 +34,8 @@ from workloads import CLI_BASES  # noqa: E402
 from toric_qh.cli import run_command  # noqa: E402
 
 NAMES = ("cp1", "cp2", "cp3", "cp5", "cp9", "cp1xcp1", "blowup_cp3")
-FIXTURES = ("det2_square.json", "pyramid.json")
+FIXTURES = ("det2_square.json", "pyramid.json", "empty_triangle.json",
+            "strip.json", "quadrant.json", "slab.json")
 COMMANDS = (["validate"], ["vertices"], ["primitives"], ["presentation"],
             ["seidel", "--facet", "1"], ["mul", "X1", "X1"],
             ["invert", "X1*q"], ["betti"], ["psi-check"], ["uniruled"],

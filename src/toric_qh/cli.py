@@ -234,7 +234,11 @@ def render_element(el, dmap):
     for m, e in pairs:
         base = render_element_monomial(m, dmap)
         if e:
-            base += "*" + (dmap.qsym if e == 1 else f"{dmap.qsym}^{e}")
+            try:
+                base += "*" + (dmap.qsym if e == 1 else f"{dmap.qsym}^{e}")
+            except ValueError:  # past the interpreter's int-string digit limit
+                raise ParseError(f"{dmap.qsym}-exponent of the result too "
+                                 "long to print") from None
         parts.append(base)
     return " + ".join(parts)
 

@@ -28,8 +28,7 @@ from .exact_linalg import (
     _gauss_jordan,
     hermite_normal_form,
     identity,
-    kernel_lattice_basis,
-    mat,
+    transpose,
 )
 
 
@@ -184,8 +183,9 @@ def _sweep_vertices(p):
 
 @_memoized
 def _walk_vertices(p):
-    """Vertices by walking the edges of a simple unimodular polytope, or
-    None when the walk cannot vouch for its answer.
+    """Vertices by walking the edges of a simple unimodular polytope, ()
+    when no dim-subset has a feasible solution, or None when the walk
+    cannot vouch for its answer.
 
     Avis-Fukuda pivoting (DCG 8, 1992) on one integer tableau, kept in
     integers from start to output.  Its columns are the d facet normals
@@ -212,7 +212,7 @@ def _walk_vertices(p):
     scale, _ = _scaled_offsets(p)
     start = next(_subset_solutions(p), None)
     if start is None:
-        return None
+        return ()
     subset, vdet, xs, slack, adj = start
     # a simple vertex is tight on its own subset alone
     if slack.count(0) != n or vdet not in (1, -1):
@@ -284,7 +284,7 @@ def enumerate_vertices(p):
     an integer edge walk (``_walk_vertices``) from the first feasible
     solution of a dim-subset of facet equations, with work proportional
     to its edges rather than to the C(d, n) facet subsets.  Any other
-    input falls back to the sweep over every dim-subset
+    input with a vertex falls back to the sweep over every dim-subset
     (``_sweep_vertices``), so reports on rejected inputs are unchanged.
     The result is kept on p, like validation and primitive collections.
     Each vertex records its full tight set, and, when simple, det V of
@@ -295,28 +295,22 @@ def enumerate_vertices(p):
     return _sweep_vertices(p) if walked is None else walked
 
 
-def _rank(rows):
-    if not rows:
-        return 0
-    h, _ = hermite_normal_form(mat(rows))
-    return sum(1 for r in h if any(r))
+def _contains_line(p):
+    """Whether a region with no vertex is nonempty, so contains a line.
 
-
-def _feasible(p):
-    """Exact Fourier-Motzkin feasibility of {x : <x, v_i> >= a_i}, on the
-    scaled integer offsets: elimination adds only positive multiples."""
-    cons = list(zip(p.normals, _scaled_offsets(p)[1]))
-    for k in range(p.dim - 1, -1, -1):
-        pos = [(c, b) for c, b in cons if c[k] > 0]
-        neg = [(c, b) for c, b in cons if c[k] < 0]
-        new = [(c[:k], b) for c, b in cons if c[k] == 0]
-        for cp, bp in pos:
-            for cn, bn in neg:
-                coeff = [(-cn[k]) * cp[j] + cp[k] * cn[j] for j in range(k)]
-                bound = (-cn[k]) * bp + cp[k] * bn
-                new.append((coeff, bound))
-        cons = new
-    return all(b <= 0 for _, b in cons)
+    The HNF h = u * V^T gives the rank r of the normals, and x = u^T z
+    maps the region onto {z : h^T z >= a}, which reads only z_1..z_r.
+    For r = n the region is pointed, so it is empty; else its rank-r
+    image is pointed, and nonempty iff the image has a vertex.
+    """
+    if not p.normals:
+        return True  # no facets: the whole space
+    h, _ = hermite_normal_form(transpose(p.normals))
+    r = sum(1 for row in h if any(row))
+    if r == p.dim:
+        return False
+    image = Polytope(r, tuple(zip(*h[:r])), p.offsets)
+    return next(_subset_solutions(image), None) is not None
 
 
 def _recession_ray(p):
@@ -324,22 +318,22 @@ def _recession_ray(p):
 
     Valid once a vertex exists: the recession cone is then pointed, so it
     is nonzero iff it has an extreme ray, and every extreme ray lies on
-    n-1 independent normals.
+    n-1 independent normals.  Each (n-1)-subset S gives one elimination
+    of [s; V_S] * y = e_1, s = sum v_i, which pairs positively with every
+    recession direction; its primitive y, signed by det, is the only
+    candidate on the line V_S * y = 0.
     """
-    n, d = p.dim, p.nfacets
-    if n == 1:
-        for w in ((1,), (-1,)):
-            if all(_dot(v, w) >= 0 for v in p.normals):
-                return w
-        return None
-    for subset in combinations(range(d), n - 1):
-        cols = mat(zip(*(p.normals[i] for i in subset)))
-        ker = kernel_lattice_basis(cols)
-        if len(ker) != 1:
+    n = p.dim
+    s = [sum(col) for col in zip(*p.normals)]
+    e1 = [(int(j == 0),) for j in range(n)]
+    for subset in combinations(p.normals, n - 1):
+        vdet, sol = _gauss_jordan([s, *subset], e1)
+        if not vdet:
             continue
-        for w in (ker[0], tuple(-x for x in ker[0])):
-            if all(_dot(v, w) >= 0 for v in p.normals):
-                return w
+        g = gcd(*(row[0] for row in sol))
+        y = tuple(row[0] // (g if vdet > 0 else -g) for row in sol)
+        if all(_dot(v, y) >= 0 for v in p.normals):
+            return y
     return None
 
 
@@ -364,7 +358,7 @@ def validate_delzant(p):
         return DelzantReport(False, tuple(reasons), ())
     verts = enumerate_vertices(p)
     if not verts:
-        if _rank(p.normals) < n and _feasible(p):
+        if _contains_line(p):
             reasons.append("RejectUnbounded: feasible region contains a line")
         else:
             reasons.append("RejectEmpty: no point satisfies all facet inequalities")

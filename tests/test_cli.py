@@ -444,6 +444,22 @@ def test_overlong_integer_in_polytope_file_exits_two(tmp_path):
     assert out.startswith("error[ParseError]: invalid JSON: ")
 
 
+@needs_digit_limit
+def test_overlong_exponent_in_result_exits_two():
+    # each factor parses, but the product's q-exponent has one digit more
+    # than the interpreter turns into text
+    digits = "7" * INT_DIGIT_LIMIT
+    argv = ["mul", f"q^{digits}*q^{digits}", "L", "blowup_cp3"]
+    code, out = run(argv)
+    assert (code, out) == (
+        2, "error[ParseError]: q-exponent of the result too long to print\n")
+    code, out = run(["--format", "json", *argv])
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "code": "ParseError",
+        "message": "q-exponent of the result too long to print"}
+
+
 def test_monomial_power_answers_at_once(low_degree_normal_forms):
     code, out = run(["mul", "X1^1000000000", "L", "blowup_cp3"])
     assert (code, out) == (0, "X1*X4*q^-999999998 + L*q^-1000000000\n")

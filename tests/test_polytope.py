@@ -1,6 +1,9 @@
 import itertools
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,11 +16,20 @@ from toric_qh.errors import (
     NoBatyrevVectorError,
     NonGenericXiError,
 )
-from toric_qh.exact_linalg import det, mat, mat_mul, transpose
+from toric_qh.exact_linalg import (
+    det,
+    hermite_normal_form,
+    kernel_lattice_basis,
+    mat,
+    mat_mul,
+    transpose,
+)
 from toric_qh.polytope import (
     Polytope,
     PrimitiveCollection,
+    _dot,
     _recession_ray,
+    _scaled_offsets,
     _subset_solutions,
     _sweep_vertices,
     _walk_vertices,
@@ -709,6 +721,160 @@ def test_sweep_matches_oracle_on_rejected_inputs(name):
                     [int(k == j) for k in range(n)]
         else:
             assert v.edge_dirs is None
+
+
+# The Hermite-normal-form rank, Fourier-Motzkin feasibility and
+# kernel-lattice ray search that validation once ran beside the subset
+# scan, copied verbatim as the oracle for its rejections: slow, but they
+# share no elimination with the polytope layer.
+def _reference_rank(rows):
+    if not rows:
+        return 0
+    h, _ = hermite_normal_form(mat(rows))
+    return sum(1 for r in h if any(r))
+
+
+def _reference_feasible(p):
+    """Exact Fourier-Motzkin feasibility of {x : <x, v_i> >= a_i}, on the
+    scaled integer offsets: elimination adds only positive multiples."""
+    cons = list(zip(p.normals, _scaled_offsets(p)[1]))
+    for k in range(p.dim - 1, -1, -1):
+        pos = [(c, b) for c, b in cons if c[k] > 0]
+        neg = [(c, b) for c, b in cons if c[k] < 0]
+        new = [(c[:k], b) for c, b in cons if c[k] == 0]
+        for cp, bp in pos:
+            for cn, bn in neg:
+                coeff = [(-cn[k]) * cp[j] + cp[k] * cn[j] for j in range(k)]
+                bound = (-cn[k]) * bp + cp[k] * bn
+                new.append((coeff, bound))
+        cons = new
+    return all(b <= 0 for _, b in cons)
+
+
+def _reference_recession_ray(p):
+    """A nonzero integer y with <y, v_i> >= 0 for every facet, or None.
+
+    Valid once a vertex exists: the recession cone is then pointed, so it
+    is nonzero iff it has an extreme ray, and every extreme ray lies on
+    n-1 independent normals.
+    """
+    n, d = p.dim, p.nfacets
+    if n == 1:
+        for w in ((1,), (-1,)):
+            if all(_dot(v, w) >= 0 for v in p.normals):
+                return w
+        return None
+    for subset in combinations(range(d), n - 1):
+        cols = mat(zip(*(p.normals[i] for i in subset)))
+        ker = kernel_lattice_basis(cols)
+        if len(ker) != 1:
+            continue
+        for w in (ker[0], tuple(-x for x in ker[0])):
+            if all(_dot(v, w) >= 0 for v in p.normals):
+                return w
+    return None
+
+
+def _rejection_corpus(count=1200, seed=14):
+    """Seeded regions of dim 1-4 with up to dim + 5 facets, entries in
+    [-2, 2]; about 30% have normals in the hyperplane x_n = c * x_k."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        d = rng.randint(1, n + 5)
+        tie = (rng.randrange(n - 1), rng.choice((0, 1, -1))) \
+            if n > 1 and rng.random() < 0.3 else None
+        normals = []
+        while len(normals) < d:
+            v = [rng.randint(-2, 2) for _ in range(n)]
+            if tie:
+                v[-1] = tie[1] * v[tie[0]]
+            if gcd(*v) == 1:
+                normals.append(tuple(v))
+        offsets = [Fraction(rng.randint(-2, 2), rng.choice((1, 2, 3)))
+                   for _ in range(d)]
+        out.append(Polytope(n, tuple(normals), tuple(offsets)))
+    return out
+
+
+def test_rejections_match_reference():
+    kinds = {"line": 0, "empty": 0, "ray": 0, "rank-deficient": 0}
+    # with no facets the region is the whole space
+    for p in [Polytope(2, (), ()), *_rejection_corpus()]:
+        reasons = validate_delzant(p).reasons
+        kinds["rank-deficient"] += _reference_rank(p.normals) < p.dim
+        if not _sweep_vertices(p):
+            if _reference_rank(p.normals) < p.dim and _reference_feasible(p):
+                kinds["line"] += 1
+                assert reasons == (
+                    "RejectUnbounded: feasible region contains a line",), p
+            else:
+                kinds["empty"] += 1
+                assert reasons == (
+                    "RejectEmpty: no point satisfies all facet inequalities",
+                ), p
+            continue
+        ray = _reference_recession_ray(p)
+        assert _recession_ray(p) == ray, p
+        if ray is None:
+            assert not any(r.startswith(("RejectEmpty", "RejectUnbounded"))
+                           for r in reasons), p
+        else:
+            kinds["ray"] += 1
+            assert reasons == (f"RejectUnbounded: recession direction {ray}",), p
+    # every rewritten branch is reached many times
+    assert min(kinds.values()) >= 100, kinds
+
+
+def _line_in_dim5(seed=2, d=16):
+    """d facets in dim 5 whose normals span only x_5 = 0; the origin is
+    feasible, so the region contains the x_5 axis."""
+    rng = random.Random(seed)
+    normals = []
+    while len(normals) < d:
+        v = [rng.randint(-2, 2) for _ in range(4)]
+        if gcd(*v) == 1:
+            normals.append(tuple(v) + (0,))
+    offsets = [Fraction(-rng.randint(0, 3), rng.choice((1, 2)))
+               for _ in range(d)]
+    return Polytope(5, tuple(normals), tuple(offsets))
+
+
+def test_line_in_dim5_answers_at_once():
+    # Fourier-Motzkin took about 10 s on this input; the subset scan of
+    # the rank-4 image stops at its first feasible solution
+    start = time.perf_counter()
+    reasons = validate_delzant(_line_in_dim5()).reasons
+    assert reasons == ("RejectUnbounded: feasible region contains a line",)
+    assert time.perf_counter() - start < 5
+
+
+def test_no_vertex_scans_each_subset_once(monkeypatch):
+    # a dim-4 region whose 16 normals span 3 dimensions: one scan of the
+    # C(16, 4) subsets finds no vertex, and the rank-3 image takes at
+    # most C(16, 3) more eliminations; the sweep never rescans
+    import toric_qh.polytope as polytope
+
+    rng = random.Random(7)
+    normals = []
+    while len(normals) < 16:
+        v = [rng.randint(-2, 2) for _ in range(3)]
+        if gcd(*v) == 1:
+            normals.append((v[0], v[1], v[2], v[0] - v[2]))
+    p = Polytope(4, tuple(normals),
+                 tuple(Fraction(rng.randint(-2, 2)) for _ in range(16)))
+    calls = []
+    elim = polytope._gauss_jordan
+
+    def counted(*args):
+        calls.append(1)
+        return elim(*args)
+
+    monkeypatch.setattr(polytope, "_gauss_jordan", counted)
+    assert validate_delzant(p).reasons == (
+        "RejectEmpty: no point satisfies all facet inequalities",)
+    assert len(calls) <= comb(16, 4) + comb(16, 3)
 
 
 def _brute_primitive_collections(tight_sets, d):

@@ -26,7 +26,7 @@ def test_script_runs_outside_repo(script, tmp_path):
 
 
 def test_report_digest_frozen(tmp_path):
-    # one hash over 167 JSON reports (selfcheck timings masked); it moves
+    # one hash over 211 JSON reports (selfcheck timings masked); it moves
     # only when some report's bytes move, or when the corpus it reads from
     # perfbench/ changes
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -35,8 +35,8 @@ def test_report_digest_frozen(tmp_path):
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == (
-        "167 reports  sha256 "
-        "8722f70487cbef3af229e66afd286e88bd0f89c5e8c2b79cfa171dcb5cbd1a6e")
+        "211 reports  sha256 "
+        "30848318ed77d6b3401a94d64f69b31bfeaf52e9087601e2123d628dd2cb7ac4")
 
 
 def test_benchmark_entry_points_resolve(perfbench_module):
