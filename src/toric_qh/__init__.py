@@ -22,10 +22,8 @@ from .f2ring import (
     QuotientRing,
     buchberger,
     hilbert_function,
-    normal_form,
     rehomogenize,
     saturate_t,
-    standard_basis,
 )
 from .polytope import (
     DelzantReport,

@@ -374,8 +374,7 @@ def _facets_payload(p):
             for v, a in zip(p.normals, p.offsets)]
 
 
-def _cmd_validate(args):
-    p = load_polytope(args.polytope)
+def _cmd_validate(args, p):
     rep = validate_delzant(p)
     payload = {"dim": p.dim, "nfacets": p.nfacets,
                "facets": _facets_payload(p),
@@ -385,8 +384,7 @@ def _cmd_validate(args):
     return payload, 0 if rep.ok else 1
 
 
-def _cmd_vertices(args):
-    p = load_polytope(args.polytope)
+def _cmd_vertices(args, p):
     rep = require_delzant(p)
     payload = {"dim": p.dim,
                "vertices": [{"coords": [str(c) for c in v.coords],
@@ -395,8 +393,7 @@ def _cmd_vertices(args):
     return payload, 0
 
 
-def _cmd_primitives(args):
-    p = load_polytope(args.polytope)
+def _cmd_primitives(args, p):
     data = primitive_collection_data(p)
     payload = {"collections": [{"indices": list(pc.indices),
                                 "batyrev": list(pc.batyrev),
@@ -410,8 +407,7 @@ def _is_linear_lm(g):
     return td == 0 and sum(exps) == 1
 
 
-def _cmd_presentation(args):
-    p = load_polytope(args.polytope)
+def _cmd_presentation(args, p):
     ring, pres = build_ring(p, args.space, args.flavor)
     prefix, qsym = ("X", "q") if args.space == "L" else ("Y", "Q")
     dmap = DisplayMap(ring, prefix, qsym)
@@ -442,14 +438,13 @@ def _cmd_presentation(args):
     return payload, 0
 
 
-def _quantum_l(args):
-    p = load_polytope(args.polytope)
+def _quantum_l(p):
     ring, _ = build_ring(p, "L", "quantum")
-    return p, ring, DisplayMap(ring)
+    return ring, DisplayMap(ring)
 
 
-def _cmd_seidel(args):
-    p, ring, dmap = _quantum_l(args)
+def _cmd_seidel(args, p):
+    ring, dmap = _quantum_l(p)
     if args.facet is not None:
         if not 1 <= args.facet <= p.nfacets:
             raise ParseError(f"facet index {args.facet} out of range 1..{p.nfacets}")
@@ -464,8 +459,8 @@ def _cmd_seidel(args):
     return payload, 0
 
 
-def _cmd_mul(args):
-    _, ring, dmap = _quantum_l(args)
+def _cmd_mul(args, p):
+    ring, dmap = _quantum_l(p)
     a = parse_element(args.lhs, ring, dmap)
     b = parse_element(args.rhs, ring, dmap)
     c = multiply(ring, a, b)
@@ -475,8 +470,8 @@ def _cmd_mul(args):
     return payload, 0
 
 
-def _cmd_invert(args):
-    _, ring, dmap = _quantum_l(args)
+def _cmd_invert(args, p):
+    ring, dmap = _quantum_l(p)
     a = parse_element(args.expr, ring, dmap)
     inv = invert(ring, a)
     payload = {"element": render_element(a, dmap),
@@ -484,8 +479,7 @@ def _cmd_invert(args):
     return payload, 0
 
 
-def _cmd_betti(args):
-    p = load_polytope(args.polytope)
+def _cmd_betti(args, p):
     require_delzant(p)
     xi = _parse_xi(args.xi, p.dim) if args.xi else generic_xi(p)
     b = betti_numbers_L(p, xi)
@@ -493,15 +487,14 @@ def _cmd_betti(args):
     return payload, 0
 
 
-def _cmd_psi_check(args):
-    p = load_polytope(args.polytope)
+def _cmd_psi_check(args, p):
     ring, _ = build_ring(p, "L", "quantum")
     match = verify_psi(p, ring)
     return {"match": match}, 0 if match else 1
 
 
-def _cmd_uniruled(args):
-    _, ring, dmap = _quantum_l(args)
+def _cmd_uniruled(args, p):
+    ring, dmap = _quantum_l(p)
     cert = uniruled_certificate(ring)
     payload = {"verdict": cert.verdict,
                "witness": render_element(cert.witness.element, dmap),
@@ -512,8 +505,7 @@ def _cmd_uniruled(args):
     return payload, 0 if cert.verdict == "uniruled" else 1
 
 
-def _cmd_selfcheck(args):
-    p = load_polytope(args.polytope)
+def _cmd_selfcheck(args, p):
     checks = []
 
     def run(name, fn):
@@ -771,9 +763,10 @@ def run_command(argv, out=None):
               file=sys.stderr)
         return 2
     report = {"schema_version": SCHEMA_VERSION, "command": args.command,
-              "source": getattr(args, "polytope", None), "ok": True}
+              "source": args.polytope, "ok": True}
     try:
-        payload, code = _HANDLERS[args.command](args)
+        p = load_polytope(args.polytope)
+        payload, code = _HANDLERS[args.command](args, p)
         report.update(payload)
         if code:
             report["ok"] = False

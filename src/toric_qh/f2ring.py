@@ -238,9 +238,10 @@ def _reduce(work, lms, tails, guard):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
+    """A reduced grevlex basis: buchberger, saturate_t and
+    QuotientRing.hom_gb build no other kind."""
+
     generators: tuple  # F2Polys, descending by leading monomial
-    order: str
-    reduced: bool
     nvars: int
 
     @cached_property
@@ -251,42 +252,20 @@ class GroebnerBasis:
                          2 * _top_degree(self.generators))
 
 
-def reduce_poly(f, gens, chooser=None):
-    """Full normal form of f modulo gens, a sequence of polynomials or a
-    GroebnerBasis (whose packed generators are then reused).
+def reduce_poly(f, gb):
+    """Full normal form of f modulo the GroebnerBasis gb.
 
     Each step reduces the largest reducible term by the first generator
-    whose leading monomial divides it.  chooser, if given, picks the
-    (monomial, generator index) step instead from the candidate list
-    (sorted by descending monomial, ascending index).  The result is
-    chooser-independent once gens is a Groebner basis, which the
-    confluence tests exercise.
+    whose leading monomial divides it.  An input of more than twice the
+    basis degree is reduced in wider fields, packed for it alone.
     """
-    if not f:
-        return frozenset(f)
     top = _top_degree([f])
-    if isinstance(gens, GroebnerBasis):
-        div = gens._divisors
-        gens = gens.generators
-    else:
-        gens = [g for g in gens if g]
-        div = None
-    if div is None or top > div.pk.cap:
-        div = _Divisors(gens, len(next(iter(f))[0]),
-                        max(top, _top_degree(gens)))
+    div = gb._divisors
+    if top > div.pk.cap:
+        div = _Divisors(gb.generators, gb.nvars, top)
     pk = div.pk
     work = set(map(pk.encode, f))
-    if chooser is None:
-        return pk.decode_poly(_reduce(work, div.lms, div.tails, pk.guard))
-    while True:
-        cands = [(m, k) for m in sorted(work, reverse=True)
-                 for k, lead in enumerate(div.lms)
-                 if not (m - lead) & pk.guard]
-        if not cands:
-            return pk.decode_poly(work)
-        m, k = chooser([(pk.decode(m), k) for m, k in cands])
-        q = pk.encode(m) - div.lms[k]
-        work ^= {q + x for x in (div.lms[k], *div.tails[k])}
+    return pk.decode_poly(_reduce(work, div.lms, div.tails, pk.guard))
 
 
 def _groebner(div):
@@ -335,13 +314,9 @@ def _groebner(div):
     return out
 
 
-def buchberger(gens, nvars=None, enforce_homogeneous=True):
-    """Reduced Groebner basis, deterministic in the input sequence.
-
-    Public callers feed cod-homogeneous ideals (required for exact
-    q-power bookkeeping); the quotient-ring internals disable the check
-    for the dehomogenized ideal.
-    """
+def buchberger(gens, nvars=None):
+    """Reduced Groebner basis, deterministic in the input sequence, of
+    any ideal; QuotientRing checks the homogeneity it needs itself."""
     gens = [frozenset(g) for g in gens if g]
     if nvars is None:
         nvars = len(next(iter(gens[0]))[0]) if gens else 0
@@ -349,8 +324,6 @@ def buchberger(gens, nvars=None, enforce_homogeneous=True):
         for exps, _ in g:
             if len(exps) != nvars:
                 raise ValueError("mixed variable counts in generators")
-        if enforce_homogeneous:
-            _require_homogeneous(g)
     # an S-polynomial has degree at most the sum of two leading degrees
     cap = 2 * _top_degree(gens)
     while True:
@@ -360,8 +333,7 @@ def buchberger(gens, nvars=None, enforce_homogeneous=True):
         except _Overflow as exc:
             cap = 2 * exc.args[0]
             continue
-        return GroebnerBasis(tuple(map(div.pk.decode_poly, basis)),
-                             "grevlex", True, nvars)
+        return GroebnerBasis(tuple(map(div.pk.decode_poly, basis)), nvars)
 
 
 def saturate_t(gb):
@@ -377,10 +349,9 @@ def saturate_t(gb):
         for g in gens:
             k = min(td for _, td in g)
             stripped.append(frozenset((e, td - k) for e, td in g) if k else g)
-        new = list(buchberger(stripped, nvars=gb.nvars,
-                              enforce_homogeneous=False).generators)
+        new = list(buchberger(stripped, nvars=gb.nvars).generators)
         if set(new) == set(gens):
-            return GroebnerBasis(tuple(new), gb.order, True, gb.nvars)
+            return GroebnerBasis(tuple(new), gb.nvars)
         gens = new
 
 
@@ -401,7 +372,7 @@ class QuotientRing:
         for g in self.generators:
             _require_homogeneous(g)
         self.gb = buchberger([dehomogenize(g) for g in self.generators],
-                             nvars=nvars, enforce_homogeneous=False)
+                             nvars=nvars)
         self.basis = self._standard_monomials()
         self.dim = len(self.basis)
         self.cod = {m: mono_cod(m) for m in self.basis}
@@ -420,7 +391,7 @@ class QuotientRing:
         same basis from the generators and is the test oracle.
         """
         return GroebnerBasis(tuple(map(_homogenize, self.gb.generators)),
-                             self.gb.order, True, self.nvars)
+                             self.nvars)
 
     def _standard_monomials(self):
         lms = [lm(g) for g in self.gb.generators]
@@ -462,14 +433,6 @@ class QuotientRing:
             hit = self._mul_cache[key] = self.normal_form(
                 frozenset({mono_mul(m1, m2)}))
         return hit
-
-
-def normal_form(f, ring):
-    return ring.normal_form(f)
-
-
-def standard_basis(ring):
-    return ring.basis
 
 
 def hilbert_function(ring):

@@ -116,6 +116,14 @@ def _scaled_offsets(p):
     return scale, [a.numerator * (scale // a.denominator) for a in p.offsets]
 
 
+@_memoized
+def _normals_hnf(p):
+    """(h, r): the HNF h = u * V^T of the transposed normals, and their
+    rank r, the number of nonzero rows of h."""
+    h, _ = hermite_normal_form(transpose(p.normals))
+    return h, sum(1 for row in h if any(row))
+
+
 def _subset_solutions(p):
     """Feasible solutions of the nonsingular dim-subsets of facet equations,
     in integers, in ``combinations`` order, with repeats.
@@ -126,7 +134,9 @@ def _subset_solutions(p):
     for the solution x of V_S x = a_S.  x is feasible iff every slack
     sign(D) * (<v_k, X> - D*L*a_k) = |D|*L*(<v_k, x> - a_k) is >= 0,
     and facet k is tight at x iff its slack is 0.  Yields
-    (S, D, X, slacks, adj V_S) for each feasible x.
+    (S, D, X, slacks, adj V_S) for each feasible x.  The first singular
+    subset reads the rank of the normals; below dim, every subset is
+    singular, so the scan stops there.
     """
     n = p.dim
     eye = identity(n)
@@ -136,6 +146,8 @@ def _subset_solutions(p):
                                   [eye[j] + (offs[i],)
                                    for j, i in enumerate(subset)])
         if not vdet:
+            if _normals_hnf(p)[1] < n:
+                return
             continue
         xs = [row[n] for row in sol]
         sign = 1 if vdet > 0 else -1
@@ -305,8 +317,7 @@ def _contains_line(p):
     """
     if not p.normals:
         return True  # no facets: the whole space
-    h, _ = hermite_normal_form(transpose(p.normals))
-    r = sum(1 for row in h if any(row))
+    h, r = _normals_hnf(p)
     if r == p.dim:
         return False
     image = Polytope(r, tuple(zip(*h[:r])), p.offsets)
@@ -409,6 +420,7 @@ def face_nonempty(p, indices):
     return any(mask & _mask(v.tight) == mask for v in enumerate_vertices(p))
 
 
+@_memoized
 def primitive_collections(p):
     """Inclusion-minimal facet sets with empty common face, sorted lexicographically.
 

@@ -32,3 +32,37 @@ def low_degree_normal_forms(monkeypatch):
         return nf(self, f)
 
     monkeypatch.setattr(QuotientRing, "normal_form", bounded)
+
+
+def _random_division(f, basis, rng):
+    """Remainder of f by basis, each step reducing a term drawn by rng
+    (any term, by any generator whose leading monomial divides it).
+
+    The random-order form of ``test_f2ring.division_remainder``: exponent
+    tuples and a local grevlex key, sharing no code with the packed
+    kernel.  Once basis is a Groebner basis the remainder is the normal
+    form, whatever the order of the steps.
+    """
+    def key(m):
+        return (sum(m[0]) + m[1], -m[1]) + tuple(-e for e in reversed(m[0]))
+
+    def divides(a, b):
+        return a[1] <= b[1] and all(x <= y for x, y in zip(a[0], b[0]))
+
+    leads = [max(g, key=key) for g in basis]
+    cur = set(f)
+    while True:
+        steps = [(m, k) for m in sorted(cur)
+                 for k, lead in enumerate(leads) if divides(lead, m)]
+        if not steps:
+            return frozenset(cur)
+        m, k = rng.choice(steps)
+        lead = leads[k]
+        cur ^= {(tuple(x + y - z for x, y, z in zip(e, m[0], lead[0])),
+                 td + m[1] - lead[1]) for e, td in basis[k]}
+
+
+@pytest.fixture
+def random_division():
+    """``_random_division(f, basis, rng)``, the confluence tests' oracle."""
+    return _random_division

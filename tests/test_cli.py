@@ -1,7 +1,10 @@
 import io
 import json
 import os
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -595,3 +598,22 @@ def test_main_entry_matches_run_command(capsys):
         sys.argv = old
     assert exc.value.code == 0
     assert capsys.readouterr().out == "cp2: VALID (3 vertices)\n"
+
+
+def test_readme_quick_tour_runs(monkeypatch):
+    # each "$ toric-qh ..." line of README's quick tour prints the lines
+    # that follow it, selfcheck timings aside
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    tour = readme.read_text(encoding="utf-8").split("## Quick tour", 1)[1]
+    block = tour.split("```", 2)[1]
+    commands = re.split(r"^\$ toric-qh ", block, flags=re.M)[1:]
+    assert len(commands) == 6
+    monkeypatch.setenv("TORIC_QH_FORMAT", "text")
+
+    def masked(text):
+        return re.sub(r"\([0-9.]+ ms\)", "(ms)", text.strip())
+
+    for entry in commands:
+        line, _, want = entry.partition("\n")
+        code, out = run(shlex.split(line))
+        assert (code, masked(out)) == (0, masked(want)), line

@@ -827,18 +827,19 @@ def test_rejections_match_reference():
     assert min(kinds.values()) >= 100, kinds
 
 
-def _line_in_dim5(seed=2, d=16):
-    """d facets in dim 5 whose normals span only x_5 = 0; the origin is
-    feasible, so the region contains the x_5 axis."""
+def _line_in_dim5(seed=2, d=16, n=5):
+    """d facets in dim n (5 unless given) whose normals span only
+    x_n = 0; the origin is feasible, so the region contains the x_n
+    axis."""
     rng = random.Random(seed)
     normals = []
     while len(normals) < d:
-        v = [rng.randint(-2, 2) for _ in range(4)]
+        v = [rng.randint(-2, 2) for _ in range(n - 1)]
         if gcd(*v) == 1:
             normals.append(tuple(v) + (0,))
     offsets = [Fraction(-rng.randint(0, 3), rng.choice((1, 2)))
                for _ in range(d)]
-    return Polytope(5, tuple(normals), tuple(offsets))
+    return Polytope(n, tuple(normals), tuple(offsets))
 
 
 def test_line_in_dim5_answers_at_once():
@@ -875,6 +876,62 @@ def test_no_vertex_scans_each_subset_once(monkeypatch):
     assert validate_delzant(p).reasons == (
         "RejectEmpty: no point satisfies all facet inequalities",)
     assert len(calls) <= comb(16, 4) + comb(16, 3)
+
+
+def test_line_in_dim6_stops_at_the_rank():
+    # 25 normals spanning 5 of 6 dimensions: the first subset is singular,
+    # and its rank check ends the C(25, 6) scan there
+    start = time.perf_counter()
+    reasons = validate_delzant(_line_in_dim5(d=25, n=6)).reasons
+    assert reasons == ("RejectUnbounded: feasible region contains a line",)
+    assert time.perf_counter() - start < 1
+
+
+def test_rank_deficient_scan_stops_at_first_singular_subset(monkeypatch):
+    # the input of test_no_vertex_scans_each_subset_once: one singular
+    # elimination, then the C(16, 3) subsets of the rank-3 image
+    import toric_qh.polytope as polytope
+
+    rng = random.Random(7)
+    normals = []
+    while len(normals) < 16:
+        v = [rng.randint(-2, 2) for _ in range(3)]
+        if gcd(*v) == 1:
+            normals.append((v[0], v[1], v[2], v[0] - v[2]))
+    p = Polytope(4, tuple(normals),
+                 tuple(Fraction(rng.randint(-2, 2)) for _ in range(16)))
+    calls = []
+    elim = polytope._gauss_jordan
+
+    def counted(*args):
+        calls.append(1)
+        return elim(*args)
+
+    monkeypatch.setattr(polytope, "_gauss_jordan", counted)
+    assert validate_delzant(p).reasons == (
+        "RejectEmpty: no point satisfies all facet inequalities",)
+    assert len(calls) <= 1 + comb(16, 3)
+
+
+def test_primitive_collections_computed_once(monkeypatch):
+    # classical_sr and primitive_collection_data read one shared tuple:
+    # Berge's dualization runs once per polytope
+    import toric_qh.polytope as polytope
+    import toric_qh.qh as qh
+
+    read = []
+    real = polytope.primitive_collections
+
+    def spy(p):
+        read.append(real(p))
+        return read[-1]
+
+    for mod in (polytope, qh):
+        monkeypatch.setattr(mod, "primitive_collections", spy)
+    p = builtin_polytope("blowup_cp3")
+    qh.classical_sr(p)
+    primitive_collection_data(p)
+    assert len(read) == 2 and read[0] is read[1]
 
 
 def _brute_primitive_collections(tight_sets, d):
