@@ -342,7 +342,7 @@ class _ExprParser:
 
 def parse_element(text, ring, dmap):
     if text.strip() == "0":
-        return QHElement({}, None)
+        return QHElement({})
     return _ExprParser(text, ring, dmap).parse()
 
 

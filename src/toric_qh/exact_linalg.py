@@ -29,15 +29,6 @@ def transpose(m):
     return tuple(zip(*m)) if m else ()
 
 
-def mat_mul(a, b):
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("shape mismatch")
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
 def hermite_normal_form(m):
     """Row-style Hermite normal form: (h, u) with u unimodular and u*m = h.
 

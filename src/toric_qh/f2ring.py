@@ -20,13 +20,6 @@ from operator import lshift
 from .errors import InfiniteDimensionalError, NonHomogeneousGeneratorError
 
 
-def mono(exps, tdeg=0):
-    exps = tuple(int(e) for e in exps)
-    if any(e < 0 for e in exps) or tdeg < 0:
-        raise ValueError("monomial exponents must be nonnegative")
-    return (exps, int(tdeg))
-
-
 def mono_cod(m):
     exps, tdeg = m
     return sum(exps) + tdeg
@@ -44,17 +37,6 @@ def grevlex_key(m):
 
 def lm(f):
     return max(f, key=grevlex_key)
-
-
-def poly_add(a, b):
-    return a ^ b
-
-
-def poly_mul(a, b):
-    out = frozenset()
-    for m1 in a:
-        out ^= frozenset(mono_mul(m1, m2) for m2 in b)
-    return out
 
 
 def _tmul(a, b):
@@ -86,21 +68,6 @@ def _tdiv_exact(a, b):
     if r:
         raise ArithmeticError("inexact division in F2[t]")
     return q
-
-
-def one(nvars):
-    return frozenset({((0,) * nvars, 0)})
-
-
-def xvar(i, nvars, power=1):
-    """X_i^power as a polynomial; i is 1-based."""
-    exps = [0] * nvars
-    exps[i - 1] = power
-    return frozenset({(tuple(exps), 0)})
-
-
-def tpow(k, nvars):
-    return frozenset({((0,) * nvars, k)})
 
 
 def is_homogeneous(f):
@@ -314,12 +281,11 @@ def _groebner(div):
     return out
 
 
-def buchberger(gens, nvars=None):
+def buchberger(gens, nvars):
     """Reduced Groebner basis, deterministic in the input sequence, of
-    any ideal; QuotientRing checks the homogeneity it needs itself."""
+    any ideal in nvars variables; QuotientRing checks the homogeneity it
+    needs itself."""
     gens = [frozenset(g) for g in gens if g]
-    if nvars is None:
-        nvars = len(next(iter(gens[0]))[0]) if gens else 0
     for g in gens:
         for exps, _ in g:
             if len(exps) != nvars:
@@ -447,50 +413,36 @@ def hilbert_function(ring):
 
 
 class QHElement:
-    """Module element: standard basis monomial -> set of q-exponents.
+    """Module element: standard basis monomial -> set of q-exponents."""
 
-    homogeneous_cod, when set, asserts cod(m) - e is constant over the
-    support; it is maintained exactly through products and shifts.
-    """
+    __slots__ = ("coeffs",)
 
-    __slots__ = ("coeffs", "homogeneous_cod")
-
-    def __init__(self, coeffs, homogeneous_cod=None):
-        clean = {}
+    def __init__(self, coeffs):
+        self.coeffs = {}
         for m, exps in coeffs.items():
             exps = frozenset(exps)
-            if not exps:
-                continue
-            if homogeneous_cod is not None:
-                for e in exps:
-                    if mono_cod(m) - e != homogeneous_cod:
-                        raise ValueError(
-                            f"monomial {m} with q^{e} breaks cod "
-                            f"{homogeneous_cod}")
-            clean[m] = exps
-        self.coeffs = clean
-        self.homogeneous_cod = homogeneous_cod
+            if exps:
+                self.coeffs[m] = exps
+
+    @property
+    def homogeneous_cod(self):
+        """The one value of cod(m) - e over the support, or None for a
+        zero or mixed element.  Costs O(terms)."""
+        cods = {mono_cod(m) - e for m, exps in self.coeffs.items() for e in exps}
+        return cods.pop() if len(cods) == 1 else None
 
     def is_zero(self):
         return not self.coeffs
 
     def qshift(self, k):
-        hom = None if self.homogeneous_cod is None else self.homogeneous_cod - k
         return QHElement({m: frozenset(e + k for e in s)
-                          for m, s in self.coeffs.items()}, hom)
+                          for m, s in self.coeffs.items()})
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for m, s in other.coeffs.items():
-            merged = out.get(m, frozenset()) ^ s
-            if merged:
-                out[m] = merged
-            else:
-                out.pop(m, None)
-        hom = self.homogeneous_cod
-        if hom is None or other.homogeneous_cod != hom:
-            hom = None
-        return QHElement(out, hom)
+            out[m] = out.get(m, frozenset()) ^ s
+        return QHElement(out)
 
     def __eq__(self, other):
         return isinstance(other, QHElement) and self.coeffs == other.coeffs
@@ -501,7 +453,7 @@ class QHElement:
     def __repr__(self):
         terms = sorted(((m, tuple(sorted(s))) for m, s in self.coeffs.items()),
                        key=lambda p: grevlex_key(p[0]), reverse=True)
-        return f"QHElement({terms}, cod={self.homogeneous_cod})"
+        return f"QHElement({terms})"
 
 
 def rehomogenize(f, source_cod, ring):
@@ -515,4 +467,4 @@ def rehomogenize(f, source_cod, ring):
         if m not in ring.cod:
             raise ValueError(f"monomial {m} is not a standard monomial")
         coeffs[m] = frozenset({ring.cod[m] - source_cod})
-    return QHElement(coeffs, source_cod)
+    return QHElement(coeffs)

@@ -413,13 +413,6 @@ def _mask(indices):
     return out
 
 
-def face_nonempty(p, indices):
-    """True iff some vertex is tight on all of ``indices`` (compact simple
-    polytopes: every nonempty face contains a vertex)."""
-    mask = _mask(indices)
-    return any(mask & _mask(v.tight) == mask for v in enumerate_vertices(p))
-
-
 @_memoized
 def primitive_collections(p):
     """Inclusion-minimal facet sets with empty common face, sorted lexicographically.
@@ -511,6 +504,8 @@ def morse_index_L(v, xi):
     """Number of edge directions at v pairing negatively with xi."""
     if v.edge_dirs is None:
         raise ValueError("vertex lacks edge directions (non-Delzant input)")
+    if len(xi) != len(v.coords):
+        raise ValueError(f"xi has {len(xi)} entries, not {len(v.coords)}")
     idx = 0
     for w in v.edge_dirs:
         pairing = _dot(w, xi)

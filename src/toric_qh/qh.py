@@ -124,7 +124,7 @@ def build_ring(p, space="L", flavor="quantum"):
 
 
 def unit(ring):
-    return QHElement({ring.basis[0]: frozenset({0})}, 0)
+    return QHElement({ring.basis[0]: frozenset({0})})
 
 
 def element_from_monomial(ring, exps, qexp=0):
@@ -133,6 +133,9 @@ def element_from_monomial(ring, exps, qexp=0):
     A monomial of degree <= 1 is one normal form.  A higher one is the
     product of the generator classes X_j, each raised to its exponent by
     square-and-multiply, so X_j^k costs O(log k) products, not O(k)."""
+    if len(exps) != ring.nvars or min(exps, default=0) < 0:
+        raise ValueError(f"exponents {tuple(exps)} are not {ring.nvars} "
+                         f"nonnegative integers")
     if sum(exps) <= 1:
         raw = frozenset({(tuple(exps), 0)})
         return rehomogenize(ring.normal_form(raw), sum(exps), ring).qshift(qexp)
@@ -164,10 +167,7 @@ def multiply(ring, a, b):
                 cur = acc.setdefault(m3, set())
                 for e in conv:
                     cur ^= {e + shift}
-    hom = None
-    if a.homogeneous_cod is not None and b.homogeneous_cod is not None:
-        hom = a.homogeneous_cod + b.homogeneous_cod
-    return QHElement(acc, hom)
+    return QHElement(acc)
 
 
 def invert(ring, a):
@@ -181,7 +181,7 @@ def invert(ring, a):
     exactly, and the product with a is checked against the unit.
     """
     r = ring.dim
-    cols = [multiply(ring, a, QHElement({m: frozenset({0})}, ring.cod[m]))
+    cols = [multiply(ring, a, QHElement({m: frozenset({0})}))
             for m in ring.basis]
     exps = [e for col in cols for s in col.coeffs.values() for e in s]
     big = max(max(exps, default=0), 0)
@@ -224,8 +224,7 @@ def invert(ring, a):
         out = {k - big - b for b in range(dj.bit_length()) if dj >> b & 1}
         if out:
             coeffs[m] = out
-    hom = None if a.homogeneous_cod is None else -a.homogeneous_cod
-    x = QHElement(coeffs, hom)
+    x = QHElement(coeffs)
     if multiply(ring, a, x) != unit(ring):
         raise NotInvertibleError("candidate inverse failed verification")
     return x

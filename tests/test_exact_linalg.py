@@ -10,12 +10,17 @@ from toric_qh.exact_linalg import (
     identity,
     kernel_lattice_basis,
     mat,
-    mat_mul,
     solve_rational,
     transpose,
 )
 
 small_entries = st.integers(min_value=-6, max_value=6)
+
+
+def mat_mul(a, b):
+    """Matrix product of row-major tuples."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
 
 
 def square_matrices(n):

@@ -21,7 +21,6 @@ from toric_qh.exact_linalg import (
     hermite_normal_form,
     kernel_lattice_basis,
     mat,
-    mat_mul,
     transpose,
 )
 from toric_qh.polytope import (
@@ -36,7 +35,6 @@ from toric_qh.polytope import (
     batyrev_vector,
     betti_numbers_L,
     enumerate_vertices,
-    face_nonempty,
     generic_xi,
     morse_index_L,
     primitive_collection_data,
@@ -47,6 +45,19 @@ from toric_qh.polytope import (
 )
 
 BUILTINS = ("cp1", "cp2", "cp3", "cp4", "cp5", "cp1xcp1", "blowup_cp3")
+
+
+def mat_mul(a, b):
+    """Matrix product of row-major tuples."""
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
+
+
+def face_nonempty(p, indices):
+    """Some vertex is tight on every facet of indices: every nonempty face
+    of a compact simple polytope contains a vertex."""
+    return any(set(indices) <= set(v.tight) for v in enumerate_vertices(p))
+
 
 HIRZEBRUCH2 = Polytope(2, ((0, 1), (1, 0), (0, -1), (-1, -2)),
                        (0, 0, -1, -3))
@@ -267,6 +278,18 @@ def test_morse_rejects_nongeneric_xi():
     v = enumerate_vertices(p)[0]
     with pytest.raises(NonGenericXiError):
         morse_index_L(v, (0, 0, 1))
+
+
+def test_xi_of_wrong_length_rejected():
+    # a dot product that zips would read (1, 5, 25, 7) as its first three
+    # entries and give (1, 2, 2, 1)
+    p = builtin_polytope("blowup_cp3")
+    v = enumerate_vertices(p)[0]
+    for xi in ((1, 5, 25, 7), (1,)):
+        with pytest.raises(ValueError, match="entries"):
+            betti_numbers_L(p, xi=xi)
+        with pytest.raises(ValueError, match="entries"):
+            morse_index_L(v, xi)
 
 
 def test_generic_xi_frozen():

@@ -21,3 +21,47 @@ def test_runtime_imports_only_stdlib(path):
     outside = {name for name in names
                if name.partition(".")[0] not in sys.stdlib_module_names}
     assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+ROOT = PACKAGE.parent.parent
+
+# Top-level definitions of src/toric_qh kept without a caller in src/,
+# scripts/ or perfbench/
+UNCALLED = {
+    # perfbench/tracing.py wraps these by name, with getattr and no
+    # default; they can go when its ENTRY_POINTS drops them
+    "solve_rational", "det", "kernel_lattice_basis", "saturate_t",
+    # writes the polytope JSON that load_polytope reads; exported from
+    # toric_qh for callers that build inputs
+    "polytope_to_json",
+    # the toric-qh console script in pyproject.toml
+    "main",
+}
+
+
+def test_src_defines_nothing_only_tests_read():
+    # a top-level function or class that only tests read belongs in
+    # tests/; a reference is a name or an attribute in code outside the
+    # definition itself, so an import or a string does not count, and a
+    # local variable of the same name does
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    defs = {node.name: node for tree in trees.values() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert UNCALLED <= set(defs), sorted(UNCALLED - set(defs))
+    own = {id(node) for node in defs.values()}
+    for path in sorted((ROOT / "scripts").glob("*.py")) + \
+            sorted((ROOT / "perfbench").glob("*.py")):
+        trees[path] = ast.parse(path.read_text(), filename=str(path))
+    used = set()
+    stack = [(tree, None) for tree in trees.values()]
+    while stack:
+        node, inside = stack.pop()
+        if isinstance(node, ast.Name) and node.id != inside:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr != inside:
+            used.add(node.attr)
+        stack.extend((child, child.name if id(child) in own else inside)
+                     for child in ast.iter_child_nodes(node))
+    unread = sorted(set(defs) - used - UNCALLED)
+    assert not unread, f"only tests read {unread}"
