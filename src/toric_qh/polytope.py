@@ -10,7 +10,7 @@ pi-units.  Facet indices are 1-based everywhere they are reported.
 """
 
 from bisect import bisect
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import wraps
 from itertools import combinations
@@ -32,16 +32,42 @@ from .exact_linalg import (
 )
 
 
-@dataclass(frozen=True)
 class Polytope:
-    """Facet model with inward normals; construct via ``from_facets``."""
+    """Facet model with inward normals; construct via ``from_facets``.
 
-    dim: int
-    normals: tuple  # of int tuples, inward
-    offsets: tuple  # of Fractions, pi-units
-    # derived data (vertices, reports, collections), freed with the polytope
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
+    Equal, and hash-equal, over (dim, normals, offsets); assigning an
+    attribute raises AttributeError.  Like GroebnerBasis and the
+    namedtuple records, this is a plain class rather than a frozen
+    dataclass: importing ``dataclasses`` would load ``inspect`` and its
+    dependencies, about half of the package's import time and memory.
+    """
+
+    def __init__(self, dim, normals, offsets):
+        # normals: int tuples, inward; offsets: Fractions, pi-units;
+        # _memo: derived data (vertices, reports, collections), freed
+        # with the polytope
+        self.__dict__.update(dim=dim, normals=normals, offsets=offsets,
+                             _memo={})
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return self.dim, self.normals, self.offsets
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"Polytope(dim={self.dim!r}, normals={self.normals!r}, "
+                f"offsets={self.offsets!r})")
 
     @staticmethod
     def from_facets(dim, facets, convention="inward"):
@@ -67,26 +93,29 @@ class Polytope:
         return len(self.normals)
 
 
-@dataclass(frozen=True)
-class Vertex:
-    coords: tuple  # Fractions, pi-units
-    tight: tuple  # all tight facet indices, 1-based, sorted
-    normal_det: object  # det of the tight normal matrix; None unless simple
-    edge_dirs: object  # tuple of primitive int vectors w_j with <w_j, v_{i_k}> = delta_jk; None unless unimodular
+class Vertex(namedtuple("Vertex", (
+        "coords",  # Fractions, pi-units
+        "tight",  # all tight facet indices, 1-based, sorted
+        "normal_det",  # det of the tight normal matrix; None unless simple
+        "edge_dirs",  # tuple of primitive int vectors w_j with <w_j, v_{i_k}> = delta_jk; None unless unimodular
+        ))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PrimitiveCollection:
-    indices: tuple  # sorted facet indices, 1-based
-    batyrev: tuple  # length-d relation vector: 1 on indices, <= 0 elsewhere
-    m: int  # quantum degree |I| - sum of |a_k| off I
+class PrimitiveCollection(namedtuple("PrimitiveCollection", (
+        "indices",  # sorted facet indices, 1-based
+        "batyrev",  # length-d relation vector: 1 on indices, <= 0 elsewhere
+        "m",  # quantum degree |I| - sum of |a_k| off I
+        ))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class DelzantReport:
-    ok: bool
-    reasons: tuple  # human-readable, each starting with its Reject code
-    vertices: tuple
+class DelzantReport(namedtuple("DelzantReport", (
+        "ok",
+        "reasons",  # human-readable, each starting with its Reject code
+        "vertices",
+        ))):
+    __slots__ = ()
 
 
 def _dot(v, x):

@@ -9,7 +9,7 @@ M view of the quantum ring against the Morse sweep (psi), and
 uniruledness certificates.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CrosscheckFailedError, NotInvertibleError
 from .f2ring import (
@@ -28,36 +28,37 @@ from .polytope import (
 )
 
 
-@dataclass(frozen=True)
-class Presentation:
-    space: str  # "L" | "M"
-    flavor: str  # "classical" | "quantum"
-    nvars: int
-    generator_cod: int  # degree of each X_i: 1 for L, 2 for M
-    grading_unit: int  # degree of q: 1 for L, 2 for M
-    linear_relations: tuple
-    sr_relations: tuple
+class Presentation(namedtuple("Presentation", (
+        "space",  # "L" | "M"
+        "flavor",  # "classical" | "quantum"
+        "nvars",
+        "generator_cod",  # degree of each X_i: 1 for L, 2 for M
+        "grading_unit",  # degree of q: 1 for L, 2 for M
+        "linear_relations",
+        "sr_relations",
+        ))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SeidelElement:
-    element: QHElement
-    provenance: object  # facet index or integer combination
+class SeidelElement(namedtuple("SeidelElement", (
+        "element",  # QHElement
+        "provenance",  # facet index or integer combination
+        ))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class UniruledCertificate:
-    witness: SeidelElement
-    inverse: object  # QHElement, or None when inversion failed
-    fundamental_coefficient: frozenset  # q-exponents on the unit class
-    verdict: str  # "uniruled" | "inconclusive"
-    reason: object
+class UniruledCertificate(namedtuple("UniruledCertificate", (
+        "witness",  # SeidelElement
+        "inverse",  # QHElement, or None when inversion failed
+        "fundamental_coefficient",  # frozenset: q-exponents on the unit class
+        "verdict",  # "uniruled" | "inconclusive"
+        "reason",
+        ))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    betti: tuple
-    hilbert: tuple
+class CrosscheckReport(namedtuple("CrosscheckReport", ("betti", "hilbert"))):
+    __slots__ = ()
 
 
 def linear_relations(p):

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -617,3 +618,15 @@ def test_readme_quick_tour_runs(monkeypatch):
         line, _, want = entry.partition("\n")
         code, out = run(shlex.split(line))
         assert (code, masked(out)) == (0, masked(want)), line
+
+
+def test_python_m_toric_qh_runs_the_cli():
+    # the package runs as a module without the RuntimeWarning that
+    # python -m toric_qh.cli gives, which -W error would turn into a crash
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "toric_qh", "validate", "cp2"],
+        env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run(["validate", "cp2"])[1]

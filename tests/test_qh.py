@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -596,7 +595,7 @@ def test_seidel_relation_rejects_wrong_weights():
                 bad = list(pc.batyrev)
                 bad[j] -= 1
                 assert not verify_seidel_relation(
-                    ring, replace(pc, batyrev=tuple(bad))), (pc, j)
+                    ring, pc._replace(batyrev=tuple(bad))), (pc, j)
 
 
 def corpus_polytopes(perfbench_module):

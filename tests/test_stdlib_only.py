@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,8 +36,6 @@ UNCALLED = {
     # writes the polytope JSON that load_polytope reads; exported from
     # toric_qh for callers that build inputs
     "polytope_to_json",
-    # the toric-qh console script in pyproject.toml
-    "main",
 }
 
 
@@ -65,3 +65,21 @@ def test_src_defines_nothing_only_tests_read():
                      for child in ast.iter_child_nodes(node))
     unread = sorted(set(defs) - used - UNCALLED)
     assert not unread, f"only tests read {unread}"
+
+
+# dataclasses and the modules it imports; typing, which only annotations
+# would need
+HEAVY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "typing")
+
+
+def test_import_loads_no_heavy_stdlib_modules():
+    # each CLI call is a new process, so what the import pulls in is paid
+    # per call; -S keeps site from loading any of these first
+    code = ("import sys; before = set(sys.modules); import toric_qh; "
+            "print(sorted(set(sys.modules) - before))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = ast.literal_eval(proc.stdout)
+    assert "toric_qh.cli" in loaded
+    assert not set(HEAVY) & set(loaded), sorted(set(HEAVY) & set(loaded))
