@@ -189,11 +189,11 @@ class DisplayMap:
         for i in range(1, d + 1):
             exps = [0] * d
             exps[i - 1] = 1
-            nf = ring.normal_form(frozenset({(tuple(exps), 0)}))
+            nf = ring.normal_form(frozenset({tuple(exps)}))
             if len(nf) != 1:
                 continue
-            (e2, td), = nf
-            if td == 0 and sum(e2) == 1:
+            e2, = nf
+            if sum(e2) == 1:
                 members.setdefault(e2.index(1) + 1, []).append(i)
         self._num = {s: min(ms) for s, ms in members.items()}
         self.var_name = {s: prefix + str(self._num[s]) for s in members}
@@ -221,7 +221,7 @@ class DisplayMap:
 
 
 def render_element_monomial(m, dmap):
-    return "*".join(dmap.term_factors(m[0])) or "L"
+    return "*".join(dmap.term_factors(m)) or "L"
 
 
 def render_element(el, dmap):
@@ -244,14 +244,15 @@ def render_element(el, dmap):
 
 
 def render_poly(f, dmap, raw=False):
-    """Relation string in the polynomial ring; t prints as negative q-powers."""
+    """Relation string in the polynomial ring; t, the last exponent,
+    prints as negative q-powers."""
     if not f:
         return "0"
     parts = []
-    for exps, td in sorted(f, key=grevlex_key, reverse=True):
-        factors = dmap.term_factors(exps, raw)
-        if td:
-            factors.append(f"{dmap.qsym}^{-td}")
+    for m in sorted(f, key=grevlex_key, reverse=True):
+        factors = dmap.term_factors(m[:-1], raw)
+        if m[-1]:
+            factors.append(f"{dmap.qsym}^{-m[-1]}")
         parts.append("*".join(factors) if factors else "1")
     return " + ".join(parts)
 
@@ -403,8 +404,8 @@ def _cmd_primitives(args, p):
 
 
 def _is_linear_lm(g):
-    exps, td = lm(g)
-    return td == 0 and sum(exps) == 1
+    m = lm(g)
+    return m[-1] == 0 and sum(m) == 1
 
 
 def _cmd_presentation(args, p):
@@ -776,10 +777,6 @@ def run_command(argv, out=None):
             val = getattr(err, extra, None)
             if val is not None:
                 info[extra] = val
-        for extra in ("left", "right"):
-            val = getattr(err, extra, None)
-            if val is not None:
-                info[extra] = list(val)
         report["ok"] = False
         report["error"] = info
         code = err.exit_code

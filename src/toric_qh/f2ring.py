@@ -1,37 +1,28 @@
-"""Polynomial algebra over the two-element field with a grading variable.
+"""Polynomial algebra over the two-element field.
 
-Monomials carry exponents for variables X_1..X_d plus a power of t,
-where t stands for q^-1 and has degree +1, so every relation used
-downstream is homogeneous with nonnegative t-exponents.  Coefficient
-arithmetic is boolean: a polynomial is the set of its monomials and
-addition is symmetric difference.
+A monomial is a plain tuple of exponents, a polynomial the frozenset of
+its monomials, and addition symmetric difference.  The homogeneous
+relations live in F2[X_1..X_d, t], t = q^-1 of degree +1, with t the
+last of their d + 1 exponents; the t = 1 working ring (its basis, normal
+forms and QHElement keys) has d exponents and no t.
 
-Monomial order is graded reverse lexicographic with X_1 > ... > X_d > t.
+Monomial order is grevlex, first variable largest: X_1 > ... > X_d > t.
 Putting t last makes saturation at t a division-by-t fixpoint on reduced
-bases and keeps every output deterministic.
+bases and keeps every output deterministic.  The Groebner engine knows
+no t: its variable count is the tuple length.
 """
 
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
-from operator import lshift
+from operator import add, lshift
 
 from .errors import InfiniteDimensionalError, NonHomogeneousGeneratorError
 
 
-def mono_cod(m):
-    exps, tdeg = m
-    return sum(exps) + tdeg
-
-
-def mono_mul(a, b):
-    return (tuple(x + y for x, y in zip(a[0], b[0])), a[1] + b[1])
-
-
 def grevlex_key(m):
     """Sort key; larger key = larger monomial."""
-    exps, tdeg = m
-    return (sum(exps) + tdeg, -tdeg) + tuple(-e for e in reversed(exps))
+    return (sum(m),) + tuple(-e for e in reversed(m))
 
 
 def lm(f):
@@ -70,7 +61,7 @@ def _tdiv_exact(a, b):
 
 
 def is_homogeneous(f):
-    return len({mono_cod(m) for m in f}) <= 1
+    return len({sum(m) for m in f}) <= 1
 
 
 def _require_homogeneous(g):
@@ -80,36 +71,37 @@ def _require_homogeneous(g):
 
 
 def dehomogenize(f):
-    """Set t = 1; colliding monomials cancel in pairs."""
+    """Set t = 1, dropping the last exponent; colliding monomials cancel
+    in pairs."""
     out = frozenset()
-    for exps, _ in f:
-        out ^= {(exps, 0)}
+    for m in f:
+        out ^= {m[:-1]}
     return out
 
 
 def _homogenize(f):
-    """Pad each monomial of f with t up to the top degree of f."""
+    """Append to each monomial of f the power of t that lifts it to the
+    top degree of f."""
     top = _top_degree([f])
-    return frozenset((exps, top - sum(exps)) for exps, _ in f)
+    return frozenset(m + (top - sum(m),) for m in f)
 
 
 class _Packing:
-    """Monomials of F2[X_1..X_d, t] of degree at most cap as ints.
+    """Monomials in n variables of degree at most cap as ints.
 
-    With n = d + 1 exponents e_1..e_n (e_n the power of t), a monomial
-    takes 2n fields of w bits.  The low n fields hold e_1..e_n, e_i at bit
-    (i-1)*w.  The high n fields hold the prefix sums P_k = e_1 + ... + e_k,
-    the degree P_n topmost.  For equal degree, grevlex (X_1 > ... > X_d > t)
-    favours the monomial whose prefix sums are larger, compared from
-    P_{n-1} down, so comparing packed ints compares monomials.  Both halves
-    are additive: a product of monomials is a sum of ints, a quotient a
-    difference.  Every field stays at most cap = 2^(w-1) - 1; the spare top
-    bit of each low field is a guard that b - a sets exactly where an
-    exponent of a exceeds that of b, so a | b iff (b - a) & guard == 0.
+    A monomial, the exponent tuple e_1..e_n, takes 2n fields of w bits.
+    The low n fields hold e_1..e_n, e_i at bit (i-1)*w.  The high n fields
+    hold the prefix sums P_k = e_1 + ... + e_k, the degree P_n topmost.
+    For equal degree, grevlex (first variable largest) favours the
+    monomial whose prefix sums are larger, compared from P_{n-1} down, so
+    comparing packed ints compares monomials.  Both halves are additive:
+    a product of monomials is a sum of ints, a quotient a difference.
+    Every field stays at most cap = 2^(w-1) - 1; the spare top bit of each
+    low field is a guard that b - a sets exactly where an exponent of a
+    exceeds that of b, so a | b iff (b - a) & guard == 0.
     """
 
-    def __init__(self, nvars, cap):
-        n = nvars + 1
+    def __init__(self, n, cap):
         w = max(cap, 1).bit_length() + 1
         self.width = w
         self.cap = (1 << (w - 1)) - 1
@@ -121,16 +113,13 @@ class _Packing:
         # ex * spread copies the exponent fields into the high half while
         # accumulating them, field k+n summing fields 0..k
         self.spread = 1 + sum(1 << (k * w) for k in range(n, 2 * n))
-        self.deg_shift = (2 * n - 1) * w
+        self.deg_shift = max(2 * n - 1, 0) * w  # no variables: all 0
 
     def encode(self, m):
-        exps, tdeg = m
-        ex = sum(map(lshift, exps + (tdeg,), self.shifts))
-        return ex * self.spread & self.mask
+        return sum(map(lshift, m, self.shifts)) * self.spread & self.mask
 
     def decode(self, p):
-        fields = [(p >> s) & self.field for s in self.shifts]
-        return tuple(fields[:-1]), fields[-1]
+        return tuple((p >> s) & self.field for s in self.shifts)
 
     def encode_poly(self, f):
         """Terms of f as packed ints, leading term first."""
@@ -156,7 +145,7 @@ class _Overflow(Exception):
 
 
 def _top_degree(polys):
-    return max((mono_cod(m) for f in polys for m in f), default=0)
+    return max((sum(m) for f in polys for m in f), default=0)
 
 
 class _Divisors:
@@ -309,8 +298,8 @@ def buchberger(gens, nvars):
     needs itself."""
     gens = [frozenset(g) for g in gens if g]
     for g in gens:
-        for exps, _ in g:
-            if len(exps) != nvars:
+        for m in g:
+            if len(m) != nvars:
                 raise ValueError("mixed variable counts in generators")
     # an S-polynomial has degree at most the sum of two leading degrees
     cap = 2 * _top_degree(gens)
@@ -335,8 +324,9 @@ def saturate_t(gb):
     while True:
         stripped = []
         for g in gens:
-            k = min(td for _, td in g)
-            stripped.append(frozenset((e, td - k) for e, td in g) if k else g)
+            k = min(m[-1] for m in g)
+            stripped.append(frozenset(m[:-1] + (m[-1] - k,) for m in g)
+                            if k else g)
         new = list(buchberger(stripped, nvars=gb.nvars).generators)
         if set(new) == set(gens):
             return GroebnerBasis(tuple(new), gb.nvars)
@@ -346,12 +336,14 @@ def saturate_t(gb):
 class QuotientRing:
     """F2[X_1..X_d][q^-1,q] modulo a cod-homogeneous ideal.
 
-    The working representation is the dehomogenized (t=1) quotient with
-    q-powers reconstructed from the grading deficit.  The saturated
-    homogeneous basis hom_gb, the source of the reduced relations shown
-    by presentations, is derived from that one Groebner basis on first
-    read and then kept.  Degrees are cods; a view that doubles them
-    (the ambient M) is a display concern of the caller.
+    nvars is d; the generators have d + 1 exponents, t last.  The working
+    representation is the dehomogenized (t=1) quotient, its gb, basis and
+    normal forms in d exponents, with q-powers reconstructed from the
+    grading deficit.  The saturated homogeneous basis hom_gb, in d + 1
+    variables and the source of the reduced relations shown by
+    presentations, is derived from that one Groebner basis on first read
+    and then kept.  Degrees are cods; a view that doubles them (the
+    ambient M) is a display concern of the caller.
     """
 
     def __init__(self, generators, nvars):
@@ -363,7 +355,7 @@ class QuotientRing:
                              nvars=nvars)
         self.basis = self._standard_monomials()
         self.dim = len(self.basis)
-        self.cod = {m: mono_cod(m) for m in self.basis}
+        self.cod = {m: sum(m) for m in self.basis}
         self._nf_cache = {}
         self._mul_cache = {}
         self.cache = {}
@@ -379,18 +371,18 @@ class QuotientRing:
         same basis from the generators and is the test oracle.
         """
         return GroebnerBasis(tuple(map(_homogenize, self.gb.generators)),
-                             self.nvars)
+                             self.nvars + 1)
 
     def _standard_monomials(self):
         lms = [lm(g) for g in self.gb.generators]
         caps = [None] * self.nvars
-        for exps, tdeg in lms:
-            support = [i for i, e in enumerate(exps) if e]
-            if tdeg or len(support) > 1:
+        for m in lms:
+            support = [i for i, e in enumerate(m) if e]
+            if len(support) > 1:
                 continue
             for i in support or range(self.nvars):  # 1 caps every variable
-                if caps[i] is None or exps[i] < caps[i]:
-                    caps[i] = exps[i]
+                if caps[i] is None or m[i] < caps[i]:
+                    caps[i] = m[i]
         for i, c in enumerate(caps):
             if c is None:
                 raise InfiniteDimensionalError(
@@ -399,16 +391,15 @@ class QuotientRing:
         pk = _Packing(self.nvars, max(_top_degree([lms]), sum(caps)))
         leads = [pk.encode(l) for l in lms]
         out = []
-        for exps in iter_product(*(range(c) for c in caps)):
-            m = (exps, 0)
+        for m in iter_product(*(range(c) for c in caps)):
             packed = pk.encode(m)
             if all((packed - lead) & pk.guard for lead in leads):
                 out.append(m)
-        out.sort(key=lambda m: (mono_cod(m), grevlex_key(m)))
+        out.sort(key=grevlex_key)
         return tuple(out)
 
     def normal_form(self, f):
-        f = dehomogenize(frozenset(f))
+        """Normal form of the t-free frozenset f."""
         hit = self._nf_cache.get(f)
         if hit is None:
             hit = self._nf_cache[f] = reduce_poly(f, self.gb)
@@ -419,7 +410,7 @@ class QuotientRing:
         hit = self._mul_cache.get(key)
         if hit is None:
             hit = self._mul_cache[key] = self.normal_form(
-                frozenset({mono_mul(m1, m2)}))
+                frozenset({tuple(map(add, m1, m2))}))
         return hit
 
 
@@ -450,7 +441,7 @@ class QHElement:
     def homogeneous_cod(self):
         """The one value of cod(m) - e over the support, or None for a
         zero or mixed element.  Costs O(terms)."""
-        cods = {mono_cod(m) - e for m, exps in self.coeffs.items() for e in exps}
+        cods = {sum(m) - e for m, exps in self.coeffs.items() for e in exps}
         return cods.pop() if len(cods) == 1 else None
 
     def is_zero(self):

@@ -62,7 +62,9 @@ class CrosscheckReport(namedtuple("CrosscheckReport", ("betti", "hilbert"))):
 
 
 def linear_relations(p):
-    """One relation per coordinate: sum of X_i with odd normal entry."""
+    """One relation per coordinate: sum of X_i with odd normal entry.
+    Relations here are in F2[X_1..X_d, t], monomials of d + 1 exponents
+    with t last."""
     require_delzant(p)
     d = p.nfacets
     out = []
@@ -70,9 +72,9 @@ def linear_relations(p):
         rel = frozenset()
         for i in range(d):
             if p.normals[i][k] % 2:
-                exps = [0] * d
+                exps = [0] * (d + 1)
                 exps[i] = 1
-                rel ^= {(tuple(exps), 0)}
+                rel ^= {tuple(exps)}
         out.append(rel)
     return tuple(out)
 
@@ -82,10 +84,10 @@ def classical_sr(p):
     d = p.nfacets
     out = []
     for idx in primitive_collections(p):
-        exps = [0] * d
+        exps = [0] * (d + 1)
         for i in idx:
             exps[i - 1] = 1
-        out.append(frozenset({(tuple(exps), 0)}))
+        out.append(frozenset({tuple(exps)}))
     return tuple(out)
 
 
@@ -95,14 +97,11 @@ def quantum_sr(p):
     d = p.nfacets
     out = []
     for pc in primitive_collection_data(p):
-        left = [0] * d
+        left = [0] * (d + 1)
         for i in pc.indices:
             left[i - 1] = 1
-        right = [0] * d
-        for j, a in enumerate(pc.batyrev):
-            if a < 0:
-                right[j] = -a
-        out.append(frozenset({(tuple(left), 0), (tuple(right), pc.m)}))
+        right = [max(-a, 0) for a in pc.batyrev] + [pc.m]
+        out.append(frozenset({tuple(left), tuple(right)}))
     return tuple(out)
 
 
@@ -138,7 +137,7 @@ def element_from_monomial(ring, exps, qexp=0):
         raise ValueError(f"exponents {tuple(exps)} are not {ring.nvars} "
                          f"nonnegative integers")
     if sum(exps) <= 1:
-        raw = frozenset({(tuple(exps), 0)})
+        raw = frozenset({tuple(exps)})
         return rehomogenize(ring.normal_form(raw), sum(exps), ring).qshift(qexp)
     acc = None
     for j, k in enumerate(exps):
@@ -175,17 +174,19 @@ def invert(ring, a):
     """Inverse of a, or NotInvertibleError.
 
     The multiplication matrix over the Laurent ring is cleared to F2[t]
-    by a global t^E.  One fraction-free Gauss-Jordan pass (Bareiss) over
-    [M | e_0] leaves det M as the last pivot and the Cramer numerators
-    det(M with column j replaced by e_0) in the last column.  a is a unit
-    iff det M is a single power t^k; the numerators then give the inverse
-    exactly, and the product with a is checked against the unit.
+    by a global t^E, E the largest q-exponent of either sign, so each
+    entry's mask is as wide as the exponents' spread.  One fraction-free
+    Gauss-Jordan pass (Bareiss) over [M | e_0] leaves det M as the last
+    pivot and the Cramer numerators det(M with column j replaced by e_0)
+    in the last column.  a is a unit iff det M is a single power t^k; the
+    numerators then give the inverse exactly, and the product with a is
+    checked against the unit.
     """
     r = ring.dim
     cols = [multiply(ring, a, QHElement({m: frozenset({0})}))
             for m in ring.basis]
     exps = [e for col in cols for s in col.coeffs.values() for e in s]
-    big = max(max(exps, default=0), 0)
+    big = max(exps, default=0)
     index = {m: i for i, m in enumerate(ring.basis)}
     mat = [[0] * r + [int(i == 0)] for i in range(r)]
     for j, col in enumerate(cols):

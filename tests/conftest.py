@@ -28,7 +28,7 @@ def low_degree_normal_forms(monkeypatch):
     nf = QuotientRing.normal_form
 
     def bounded(self, f):
-        assert all(sum(e) <= 64 for e, _ in f), "normal form of a high power"
+        assert all(sum(m) <= 64 for m in f), "normal form of a high power"
         return nf(self, f)
 
     monkeypatch.setattr(QuotientRing, "normal_form", bounded)
@@ -44,10 +44,10 @@ def _random_division(f, basis, rng):
     form, whatever the order of the steps.
     """
     def key(m):
-        return (sum(m[0]) + m[1], -m[1]) + tuple(-e for e in reversed(m[0]))
+        return (sum(m),) + tuple(-e for e in reversed(m))
 
     def divides(a, b):
-        return a[1] <= b[1] and all(x <= y for x, y in zip(a[0], b[0]))
+        return all(x <= y for x, y in zip(a, b))
 
     leads = [max(g, key=key) for g in basis]
     cur = set(f)
@@ -58,8 +58,8 @@ def _random_division(f, basis, rng):
             return frozenset(cur)
         m, k = rng.choice(steps)
         lead = leads[k]
-        cur ^= {(tuple(x + y - z for x, y, z in zip(e, m[0], lead[0])),
-                 td + m[1] - lead[1]) for e, td in basis[k]}
+        cur ^= {tuple(x + y - z for x, y, z in zip(e, m, lead))
+                for e in basis[k]}
 
 
 @pytest.fixture

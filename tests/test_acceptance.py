@@ -50,7 +50,7 @@ def run(argv):
 
 
 def poly(*monos):
-    return frozenset((tuple(e), td) for e, td in monos)
+    return frozenset(map(tuple, monos))
 
 
 def report(n):
@@ -62,19 +62,19 @@ def test_criterion_01_blowup_presentation():
     assert ring.dim == 6
     assert pres.nvars == 5
     linear = {g for g in ring.hom_gb.generators
-              if max(sum(m[0]) for m in g) == 1}
+              if max(sum(m[:-1]) for m in g) == 1}
     assert linear == {
-        poly(((1, 0, 0, 0, 0), 0), ((0, 0, 0, 0, 1), 0)),
-        poly(((0, 1, 0, 0, 0), 0), ((0, 0, 0, 0, 1), 0)),
-        poly(((0, 0, 1, 0, 0), 0), ((0, 0, 0, 1, 0), 0),
-             ((0, 0, 0, 0, 1), 0)),
+        poly((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)),
+        poly((0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)),
+        poly((0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+             (0, 0, 0, 0, 1, 0)),
     }
     reduced = set(ring.hom_gb.generators) - linear
     # X^3 = Y q^-2 and Y(X+Y) = [L] q^-2 with X = X5 class, Y = X4 class
     assert reduced == {
-        poly(((0, 0, 0, 0, 3), 0), ((0, 0, 0, 1, 0), 2)),
-        poly(((0, 0, 0, 2, 0), 0), ((0, 0, 0, 1, 1), 0),
-             ((0, 0, 0, 0, 0), 2)),
+        poly((0, 0, 0, 0, 3, 0), (0, 0, 0, 1, 0, 2)),
+        poly((0, 0, 0, 2, 0, 0), (0, 0, 0, 1, 1, 0),
+             (0, 0, 0, 0, 0, 2)),
     }
     code, out = run(["presentation", "--space", "L", "--flavor", "quantum",
                      "blowup_cp3"])
@@ -90,13 +90,13 @@ def test_criterion_02_blowup_products():
     ring, _ = build_ring(builtin_polytope("blowup_cp3"))
     y = element_from_monomial(ring, (0, 0, 0, 1, 0))
     yy = multiply(ring, y, y)
-    assert yy.coeffs == {((0, 0, 0, 1, 1), 0): frozenset({0}),
-                         ((0, 0, 0, 0, 0), 0): frozenset({-2})}
+    assert yy.coeffs == {(0, 0, 0, 1, 1): frozenset({0}),
+                         (0, 0, 0, 0, 0): frozenset({-2})}
     twice_e4 = seidel_composite(ring, (0, 0, 0, 2, 0)).element
-    assert twice_e4.coeffs == {((0, 0, 0, 1, 1), 0): frozenset({2}),
-                               ((0, 0, 0, 0, 0), 0): frozenset({0})}
+    assert twice_e4.coeffs == {(0, 0, 0, 1, 1): frozenset({2}),
+                               (0, 0, 0, 0, 0): frozenset({0})}
     mixed = seidel_composite(ring, (1, 1, 0, 1, 0)).element
-    assert mixed.coeffs == {((0, 0, 0, 1, 2), 0): frozenset({3})}
+    assert mixed.coeffs == {(0, 0, 0, 1, 2): frozenset({3})}
     assert run(["mul", "Y", "Y", "blowup_cp3"]) == (0, "X1*X4 + L*q^-2\n")
     assert run(["seidel", "--combo", "0,0,0,2,0", "blowup_cp3"]) == \
         (0, "X1*X4*q^2 + L\n")
@@ -150,19 +150,19 @@ def test_criterion_04_projective_family():
         d = n + 1
         lin = []
         for i in range(n):
-            e_i = [0] * d
+            e_i = [0] * (d + 1)
             e_i[i] = 1
-            e_last = [0] * d
+            e_last = [0] * (d + 1)
             e_last[n] = 1
-            lin.append(poly((tuple(e_i), 0), (tuple(e_last), 0)))
-        sr = poly((tuple([1] * d), 0), (tuple([0] * d), d))
+            lin.append(poly(e_i, e_last))
+        sr = poly([1] * d + [0], [0] * d + [d])
         oracle = QuotientRing(tuple(lin) + (sr,), nvars=d)
         assert set(oracle.hom_gb.generators) == set(ring.hom_gb.generators)
-        top = [0] * d
+        top = [0] * (d + 1)
         top[n] = d
-        want_reduced = poly((tuple(top), 0), (tuple([0] * d), d))
+        want_reduced = poly(top, [0] * d + [d])
         nonlinear = {g for g in ring.hom_gb.generators
-                     if max(sum(m[0]) for m in g) > 1}
+                     if max(sum(m[:-1]) for m in g) > 1}
         assert nonlinear == {want_reduced}
         # independent Morse sweep
         xi = generic_xi(p)
@@ -201,7 +201,7 @@ def test_criterion_06_psi_isomorphism():
     blow = builtin_polytope("blowup_cp3")
     _, pres = build_ring(blow)
     mutated = QuotientRing(
-        (poly(((1, 0, 0, 0, 0), 0), ((0, 0, 0, 1, 0), 0)),)
+        (poly((1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0)),)
         + pres.linear_relations[1:] + pres.sr_relations, nvars=blow.nfacets)
     assert not verify_psi(blow, mutated)
     report(6)
@@ -299,20 +299,19 @@ def dual_route_normal_forms(name, nvars):
     assert ring.nvars == nvars
     # the homogeneous route starts from the generators, not from ring.gb,
     # from which ring.hom_gb is derived
-    hom_gb = saturate_t(buchberger(ring.generators, nvars=ring.nvars))
+    hom_gb = saturate_t(buchberger(ring.generators, nvars=ring.nvars + 1))
     count = 0
     for exps in itertools.product(range(7), repeat=nvars):
         cod = sum(exps)
         if cod > 6:
             continue
         count += 1
-        raw = frozenset({(exps, 0)})
-        affine = ring.normal_form(raw)
+        affine = ring.normal_form(frozenset({exps}))
         via_affine = rehomogenize(affine, cod, ring)
-        hom_nf = reduce_poly(raw, hom_gb)
+        hom_nf = reduce_poly(frozenset({exps + (0,)}), hom_gb)
         coeffs = {}
-        for beta, td in hom_nf:
-            coeffs.setdefault((beta, 0), set()).add(-td)
+        for m in hom_nf:
+            coeffs.setdefault(m[:-1], set()).add(-m[-1])
         via_hom = QHElement(coeffs)
         if via_hom.coeffs:
             assert via_hom.homogeneous_cod == cod, exps
@@ -324,13 +323,12 @@ def test_criterion_10_dual_route_and_confluence(random_division):
     assert dual_route_normal_forms("blowup_cp3", 5) == 462
     assert dual_route_normal_forms("cp3", 4) == 210
     ring, _ = build_ring(builtin_polytope("blowup_cp3"))
-    gb = saturate_t(buchberger(ring.generators, nvars=ring.nvars))
+    gb = saturate_t(buchberger(ring.generators, nvars=ring.nvars + 1))
     rng = random.Random(97)
     nonzero = 0
     for _ in range(200):
         exps = tuple(rng.randrange(5) for _ in range(5))
-        td = rng.randrange(3)
-        f = frozenset({(exps, td)})
+        f = frozenset({exps + (rng.randrange(3),)})
         alt = random.Random(rng.randrange(10 ** 9))
         nf = reduce_poly(f, gb)
         assert nf == random_division(f, gb.generators, alt)

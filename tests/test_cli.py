@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -148,6 +149,18 @@ def test_invert_noninvertible_exit_one():
     assert out.startswith("error[NotInvertible]:")
 
 
+def test_invert_large_negative_exponents_answer_at_once():
+    # invert shifts its F2[t] masks by the largest q-exponent, negative
+    # ones included, so a mask is as wide as the spread of the exponents,
+    # not as their size
+    t0 = perf_counter()
+    code, out = run(["invert", "q^-1000000000000", "cp2"])
+    assert (code, out) == (0, "L*q^1000000000000\n")
+    code, out = run(["invert", "X1*q^-100000", "blowup_cp3"])
+    assert (code, out) == (0, "X1^2*X4*q^100004 + X4*q^100002\n")
+    assert perf_counter() - t0 < 1
+
+
 def test_betti_text_and_xi():
     code, out = run(["betti", "blowup_cp3"])
     assert (code, out) == (0, "betti (1, 2, 2, 1)  xi (1, 2, 4)  total 6\n")
@@ -213,6 +226,47 @@ def test_selfcheck_pass_and_fail():
     assert code == 1
     assert "[FAIL] delzant" in out
     assert out.count("[SKIP]") == 6
+    assert out.rstrip().endswith("selfcheck: FAILED")
+
+
+def test_selfcheck_reports_a_failed_crosscheck(monkeypatch):
+    # a Morse sweep that disagrees with the classical Hilbert function
+    # fails the betti_crosscheck stage, with both vectors in its message;
+    # the report itself carries no top-level error
+    import toric_qh.qh as qh
+
+    monkeypatch.setattr(qh, "betti_numbers_L", lambda p, xi=None: (1, 2, 1))
+    code, out = run(["--format", "json", "selfcheck", "cp2"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False and "error" not in report
+    stage, = (c for c in report["checks"] if c["name"] == "betti_crosscheck")
+    assert stage["ok"] is False
+    assert stage["detail"]["error"]["code"] == "CrosscheckFailed"
+    assert stage["detail"]["error"]["message"].endswith(
+        ": (1, 1, 1) vs (1, 2, 1)")
+
+
+def test_selfcheck_on_delzant_non_fano_input(tmp_path):
+    # Hirzebruch F3 is Delzant, but its collection {1, 3} has quantum
+    # degree -1: the classical stages pass, and every stage that needs
+    # the quantum degrees fails with FanoViolation
+    path = tmp_path / "hirzebruch3.json"
+    path.write_text(json.dumps({"dim": 2, "convention": "inward", "facets": [
+        {"normal": [1, 0], "offset": [0, 1]},
+        {"normal": [0, 1], "offset": [0, 1]},
+        {"normal": [-1, 3], "offset": [-1, 1]},
+        {"normal": [0, -1], "offset": [-1, 1]}]}))
+    code, out = run(["--format", "json", "selfcheck", str(path)])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["delzant"]["ok"] and checks["betti_crosscheck"]["ok"]
+    for name in ("fano_degrees", "min_quantum_degree", "seidel_relations",
+                 "psi", "uniruled"):
+        assert checks[name]["ok"] is False, name
+        assert checks[name]["detail"]["error"]["code"] == "FanoViolation"
+    code, out = run(["selfcheck", str(path)])
+    assert code == 1
     assert out.rstrip().endswith("selfcheck: FAILED")
 
 
@@ -380,6 +434,15 @@ def test_usage_errors_exit_two():
     assert run_command(["seidel", "blowup_cp3"], out=io.StringIO()) == 2
     assert run_command(["seidel", "--facet", "1", "--combo", "1,0,0,0,0",
                         "blowup_cp3"], out=io.StringIO()) == 2
+
+
+def test_out_of_range_arguments_exit_two():
+    code, out = run(["seidel", "--facet", "0", "cp2"])
+    assert (code, out) == (
+        2, "error[ParseError]: facet index 0 out of range 1..3\n")
+    code, out = run(["betti", "--xi", "1,a", "cp2"])
+    assert code == 2
+    assert out.startswith("error[ParseError]: bad xi entry")
 
 
 def test_io_errors_exit_two(tmp_path):

@@ -38,7 +38,7 @@ BUILTINS = ("cp1", "cp2", "cp3", "cp4", "cp5", "cp1xcp1", "blowup_cp3")
 
 
 def poly(*monos):
-    return frozenset((tuple(e), td) for e, td in monos)
+    return frozenset(map(tuple, monos))
 
 
 def blowup_ring():
@@ -50,44 +50,44 @@ def blowup_ring():
 def test_linear_relations_blowup_frozen():
     p = builtin_polytope("blowup_cp3")
     assert linear_relations(p) == (
-        poly(((1, 0, 0, 0, 0), 0), ((0, 0, 0, 0, 1), 0)),
-        poly(((0, 1, 0, 0, 0), 0), ((0, 0, 0, 0, 1), 0)),
-        poly(((0, 0, 1, 0, 0), 0), ((0, 0, 0, 1, 0), 0),
-             ((0, 0, 0, 0, 1), 0)),
+        poly((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)),
+        poly((0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)),
+        poly((0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0),
+             (0, 0, 0, 0, 1, 0)),
     )
 
 
 def test_linear_relations_products_frozen():
     cp3 = builtin_polytope("cp3")
     assert linear_relations(cp3) == (
-        poly(((1, 0, 0, 0), 0), ((0, 0, 0, 1), 0)),
-        poly(((0, 1, 0, 0), 0), ((0, 0, 0, 1), 0)),
-        poly(((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0)),
+        poly((1, 0, 0, 0, 0), (0, 0, 0, 1, 0)),
+        poly((0, 1, 0, 0, 0), (0, 0, 0, 1, 0)),
+        poly((0, 0, 1, 0, 0), (0, 0, 0, 1, 0)),
     )
     sq = builtin_polytope("cp1xcp1")
     assert linear_relations(sq) == (
-        poly(((1, 0, 0, 0), 0), ((0, 1, 0, 0), 0)),
-        poly(((0, 0, 1, 0), 0), ((0, 0, 0, 1), 0)),
+        poly((1, 0, 0, 0, 0), (0, 1, 0, 0, 0)),
+        poly((0, 0, 1, 0, 0), (0, 0, 0, 1, 0)),
     )
 
 
 def test_sr_relations_frozen():
     blow = builtin_polytope("blowup_cp3")
     assert classical_sr(blow) == (
-        poly(((1, 1, 0, 0, 1), 0)),
-        poly(((0, 0, 1, 1, 0), 0)),
+        poly((1, 1, 0, 0, 1, 0)),
+        poly((0, 0, 1, 1, 0, 0)),
     )
     assert quantum_sr(blow) == (
-        poly(((1, 1, 0, 0, 1), 0), ((0, 0, 0, 1, 0), 2)),
-        poly(((0, 0, 1, 1, 0), 0), ((0, 0, 0, 0, 0), 2)),
+        poly((1, 1, 0, 0, 1, 0), (0, 0, 0, 1, 0, 2)),
+        poly((0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 0, 2)),
     )
     cp2 = builtin_polytope("cp2")
     assert quantum_sr(cp2) == (
-        poly(((1, 1, 1), 0), ((0, 0, 0), 3)),)
+        poly((1, 1, 1, 0), (0, 0, 0, 3)),)
     cp1x = builtin_polytope("cp1xcp1")
     assert quantum_sr(cp1x) == (
-        poly(((1, 1, 0, 0), 0), ((0, 0, 0, 0), 2)),
-        poly(((0, 0, 1, 1), 0), ((0, 0, 0, 0), 2)),
+        poly((1, 1, 0, 0, 0), (0, 0, 0, 0, 2)),
+        poly((0, 0, 1, 1, 0), (0, 0, 0, 0, 2)),
     )
 
 
@@ -114,7 +114,7 @@ def test_ring_ranks():
 
 def test_blowup_basis_frozen():
     ring = blowup_ring()
-    assert [m[0] for m in ring.basis] == [
+    assert list(ring.basis) == [
         (0, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0, 0, 0, 1, 0),
         (0, 0, 0, 0, 2), (0, 0, 0, 1, 1), (0, 0, 0, 1, 2)]
     assert hilbert_function(ring) == (1, 2, 2, 1)
@@ -124,12 +124,12 @@ def test_multiply_blowup_frozen():
     ring = blowup_ring()
     y = element_from_monomial(ring, (0, 0, 0, 1, 0))
     yy = multiply(ring, y, y)
-    assert yy.coeffs == {((0, 0, 0, 1, 1), 0): frozenset({0}),
-                         ((0, 0, 0, 0, 0), 0): frozenset({-2})}
+    assert yy.coeffs == {(0, 0, 0, 1, 1): frozenset({0}),
+                         (0, 0, 0, 0, 0): frozenset({-2})}
     assert yy.homogeneous_cod == 2
     x = element_from_monomial(ring, (0, 0, 0, 0, 1))
     xxx = multiply(ring, multiply(ring, x, x), x)
-    assert xxx.coeffs == {((0, 0, 0, 1, 0), 0): frozenset({-2})}
+    assert xxx.coeffs == {(0, 0, 0, 1, 0): frozenset({-2})}
     assert xxx.homogeneous_cod == 3
 
 
@@ -212,8 +212,8 @@ def test_invert_blowup_frozen():
     ring = blowup_ring()
     xq = element_from_monomial(ring, (0, 0, 0, 0, 1), qexp=1)
     inv = invert(ring, xq)
-    assert inv.coeffs == {((0, 0, 0, 1, 2), 0): frozenset({3}),
-                          ((0, 0, 0, 1, 0), 0): frozenset({1})}
+    assert inv.coeffs == {(0, 0, 0, 1, 2): frozenset({3}),
+                          (0, 0, 0, 1, 0): frozenset({1})}
     assert multiply(ring, xq, inv) == unit(ring)
 
 
@@ -427,10 +427,10 @@ def test_collapse_map_is_multiplicative():
 def test_seidel_facet_blowup_frozen():
     ring = blowup_ring()
     s4 = seidel_facet(ring, 4)
-    assert s4.element.coeffs == {((0, 0, 0, 1, 0), 0): frozenset({1})}
+    assert s4.element.coeffs == {(0, 0, 0, 1, 0): frozenset({1})}
     assert s4.element.homogeneous_cod == 0
     s1 = seidel_facet(ring, 1)
-    assert s1.element.coeffs == {((0, 0, 0, 0, 1), 0): frozenset({1})}
+    assert s1.element.coeffs == {(0, 0, 0, 0, 1): frozenset({1})}
     assert ("seidel", 4) in ring.cache
     assert seidel_inverse(ring, 4) == invert(ring, s4.element)
 
@@ -439,11 +439,11 @@ def test_seidel_square_on_segment():
     # rank-2 ring: S1 = X1*q and S1^2 is the unit, since X1^2 = q^-2
     ring, _ = build_ring(builtin_polytope("cp1"))
     s1 = seidel_facet(ring, 1)
-    assert s1.element.coeffs == {((0, 1), 0): frozenset({1})}
+    assert s1.element.coeffs == {(0, 1): frozenset({1})}
     assert multiply(ring, s1.element, s1.element) == unit(ring)
     x = element_from_monomial(ring, (0, 1))
     xx = multiply(ring, x, x)
-    assert xx.coeffs == {((0, 0), 0): frozenset({-2})}
+    assert xx.coeffs == {(0, 0): frozenset({-2})}
 
 
 def test_seidel_elements_are_invertible_cod_zero():
@@ -543,7 +543,7 @@ def test_element_from_monomial_matches_normal_form_oracle():
         for exps in product(range(5), repeat=ring.nvars):
             if sum(exps) > 8:
                 continue
-            raw = frozenset({(exps, 0)})
+            raw = frozenset({exps})
             want = rehomogenize(ring.normal_form(raw), sum(exps), ring)
             got = element_from_monomial(ring, exps, qexp=-2)
             assert got == want.qshift(-2), (name, exps)
@@ -632,7 +632,7 @@ def test_nilpotent_facet_is_not_verified():
     # F2[X1, X2] / (X1^2, X2^2 + t^2): S_1 = X1 q squares to zero, so the
     # product of the facet elements is no unit and no facet is verified,
     # although S_2 = X2 q is its own inverse
-    ring = QuotientRing((poly(((2, 0), 0)), poly(((0, 2), 0), ((0, 0), 2))),
+    ring = QuotientRing((poly((2, 0, 0)), poly((0, 2, 0), (0, 0, 2))),
                         nvars=2)
     assert ring.dim == 4
     s1 = element_from_monomial(ring, (1, 0), qexp=1)
@@ -652,7 +652,8 @@ def test_hom_gb_matches_saturation_oracle(perfbench_module):
     for p in corpus_polytopes(perfbench_module):
         for flavor in ("quantum", "classical"):
             ring, _ = build_ring(p, flavor=flavor)
-            oracle = saturate_t(buchberger(ring.generators, nvars=ring.nvars))
+            oracle = saturate_t(buchberger(ring.generators,
+                                           nvars=ring.nvars + 1))
             assert ring.hom_gb == oracle, (p, flavor)
 
 
@@ -674,7 +675,7 @@ def test_verify_psi_all_builtins():
 def test_verify_psi_negative_control():
     p = builtin_polytope("blowup_cp3")
     _, pres = build_ring(p)
-    bad_rel = poly(((1, 0, 0, 0, 0), 0), ((0, 0, 0, 1, 0), 0))  # X1 + X4
+    bad_rel = poly((1, 0, 0, 0, 0, 0), (0, 0, 0, 1, 0, 0))  # X1 + X4
     mutated = QuotientRing((bad_rel,) + pres.linear_relations[1:]
                            + pres.sr_relations, nvars=p.nfacets)
     assert hilbert_function(mutated) == (1, 2, 1)
@@ -744,7 +745,7 @@ def test_qshift_and_rehomogenize_bookkeeping():
     assert x.homogeneous_cod == 1
     shifted = x.qshift(2)
     assert shifted.homogeneous_cod == -1
-    assert shifted.coeffs == {((0, 0, 0, 0, 1), 0): frozenset({2})}
+    assert shifted.coeffs == {(0, 0, 0, 0, 1): frozenset({2})}
     assert shifted.qshift(-2) == x
 
 
@@ -759,12 +760,12 @@ def test_element_from_monomial_rejects_bad_exponents():
 
 def test_homogeneous_cod_is_derived_from_coeffs():
     ring = blowup_ring()
-    yy = QHElement({((0, 0, 0, 1, 1), 0): {0}, ((0, 0, 0, 0, 0), 0): {-2}})
+    yy = QHElement({(0, 0, 0, 1, 1): {0}, (0, 0, 0, 0, 0): {-2}})
     assert yy.homogeneous_cod == 2
     assert QHElement({}).homogeneous_cod is None
     x = element_from_monomial(ring, (0, 0, 0, 0, 1))
     assert (x + unit(ring)).homogeneous_cod is None  # cods 1 and 0
-    mixed = QHElement({((0, 0, 0, 0, 1), 0): {0, 1}})  # cods 1 and 0
+    mixed = QHElement({(0, 0, 0, 0, 1): {0, 1}})  # cods 1 and 0
     assert mixed.homogeneous_cod is None
 
 

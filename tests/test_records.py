@@ -80,10 +80,10 @@ def test_polytope_equality_ignores_the_memo():
 
 
 def test_groebner_basis_equality_ignores_divisors():
-    gens = [[((1, 1), 0), ((0, 2), 0)], [((2, 0), 0), ((0, 0), 2)]]
-    a, b = buchberger(gens, 2), buchberger(gens, 2)
+    gens = [[(1, 1, 0), (0, 2, 0)], [(2, 0, 0), (0, 0, 2)]]
+    a, b = buchberger(gens, 3), buchberger(gens, 3)
     assert a._divisors is not None  # cached on a only
     assert "_divisors" in vars(a) and "_divisors" not in vars(b)
     assert a == b and hash(a) == hash(b)
-    assert a != buchberger(gens[:1], 2)
+    assert a != buchberger(gens[:1], 3)
     assert "_divisors" not in repr(a)

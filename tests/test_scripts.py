@@ -1,4 +1,4 @@
-import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -76,3 +76,41 @@ def test_bench_files_name_declared_workloads_and_metrics():
             if run["result"] is not None:
                 names = set(run["result"]["metrics"])
                 assert names <= metrics, (path.name, names - metrics)
+
+
+def test_bench_pairs_summary_separates_unresolved_from_worse():
+    loader = importlib.util.spec_from_file_location(
+        "bench_pairs", SCRIPTS / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(bench_pairs)
+    series = {  # metric: (parent runs, change runs), one per seed
+        "setup_s": ((0.09, 0.09, 0.13, 0.13), (0.2, 0.2, 0.2, 0.2)),
+        "throughput_ops_s": ((100, 100, 100, 100), (70, 70, 70, 70)),
+        "latency_p50_ms": ((2, 2, 2, 2), (1.9, 1.9, 2.1, 1.9)),
+        "qh.invert.ms": ((1, 1, 1, 1), (2, 2, 2, 2)),
+    }
+    records = [{"side": side, "workload": "ring-session", "seed": seed,
+                "trace": 0, "result": {"metrics": {
+                    name: {"value": runs[k][i]}
+                    for name, runs in series.items()}}}
+               for i, seed in enumerate((1, 2, 3, 4))
+               for k, side in enumerate(("parent", "change"))]
+    # a failed run leaves its pair out of every metric
+    records.append({"side": "parent", "workload": "ring-session", "seed": 5,
+                    "trace": 0, "result": None})
+    records.append(dict(records[-1], side="change", result=records[0]["result"]))
+    spec = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    lines = bench_pairs.summarize(records, spec)
+    assert lines == [
+        "setup_s  parent 0.11 [0.09, 0.13]  change 0.2 [0.2, 0.2]  "
+        "worse by +81.8%  change won 0/4  parent IQR 36.4% of median, "
+        "bound 25%: unresolved",
+        "throughput_ops_s  parent 100 [100, 100]  change 70 [70, 70]  "
+        "worse by +30.0%  change won 0/4  parent IQR 0.0% of median, "
+        "bound 24%: worse",
+        "latency_p50_ms  parent 2 [2, 2]  change 1.9 [1.9, 1.95]  "
+        "worse by -5.0%  change won 3/4  parent IQR 0.0% of median, "
+        "bound 24%: ok",
+        "qh.invert.ms  parent 1 [1, 1]  change 2 [2, 2]  "
+        "worse by +100.0%  change won 0/4",
+    ]
