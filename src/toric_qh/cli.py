@@ -419,7 +419,7 @@ def _cmd_presentation(args, p):
         "space": pres.space,
         "flavor": pres.flavor,
         "nvars": pres.nvars,
-        "generator_degree": pres.generator_cod,
+        "generator_degree": pres.grading_unit,
         "grading_unit": pres.grading_unit,
         "rank": ring.dim,
         "hilbert": list(scaled_hilbert(ring, pres.grading_unit)),

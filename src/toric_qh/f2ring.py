@@ -17,6 +17,7 @@ from heapq import heapify, heappop, heappush
 from itertools import product as iter_product
 from operator import add, lshift
 
+from ._value import Value
 from .errors import InfiniteDimensionalError, NonHomogeneousGeneratorError
 
 
@@ -191,36 +192,15 @@ def _reduce(work, lms, tails, guard):
     return out
 
 
-class GroebnerBasis:
+class GroebnerBasis(Value):
     """A reduced grevlex basis: buchberger, saturate_t and
-    QuotientRing.hom_gb build no other kind.
+    QuotientRing.hom_gb build no other kind."""
 
-    Equal, and hash-equal, over (generators, nvars); assigning an
-    attribute raises AttributeError.  A plain class, not a dataclass,
-    for the reason polytope.Polytope gives.
-    """
+    _fields = ("generators", "nvars")
 
     def __init__(self, generators, nvars):
         # generators: F2Polys, descending by leading monomial
         self.__dict__.update(generators=generators, nvars=nvars)
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.generators, self.nvars) == (other.generators,
-                                                 other.nvars)
-
-    def __hash__(self):
-        return hash((self.generators, self.nvars))
-
-    def __repr__(self):
-        return (f"GroebnerBasis(generators={self.generators!r}, "
-                f"nvars={self.nvars!r})")
 
     @cached_property
     def _divisors(self):

@@ -17,6 +17,7 @@ from itertools import combinations
 from math import gcd, lcm
 from operator import mul
 
+from ._value import Value
 from .errors import (
     DelzantError,
     FanoViolationError,
@@ -32,15 +33,10 @@ from .exact_linalg import (
 )
 
 
-class Polytope:
-    """Facet model with inward normals; construct via ``from_facets``.
+class Polytope(Value):
+    """Facet model with inward normals; construct via ``from_facets``."""
 
-    Equal, and hash-equal, over (dim, normals, offsets); assigning an
-    attribute raises AttributeError.  Like GroebnerBasis and the
-    namedtuple records, this is a plain class rather than a frozen
-    dataclass: importing ``dataclasses`` would load ``inspect`` and its
-    dependencies, about half of the package's import time and memory.
-    """
+    _fields = ("dim", "normals", "offsets")
 
     def __init__(self, dim, normals, offsets):
         # normals: int tuples, inward; offsets: Fractions, pi-units;
@@ -48,26 +44,6 @@ class Polytope:
         # with the polytope
         self.__dict__.update(dim=dim, normals=normals, offsets=offsets,
                              _memo={})
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _key(self):
-        return self.dim, self.normals, self.offsets
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"Polytope(dim={self.dim!r}, normals={self.normals!r}, "
-                f"offsets={self.offsets!r})")
 
     @staticmethod
     def from_facets(dim, facets, convention="inward"):
@@ -93,29 +69,24 @@ class Polytope:
         return len(self.normals)
 
 
-class Vertex(namedtuple("Vertex", (
-        "coords",  # Fractions, pi-units
-        "tight",  # all tight facet indices, 1-based, sorted
-        "normal_det",  # det of the tight normal matrix; None unless simple
-        "edge_dirs",  # tuple of primitive int vectors w_j with <w_j, v_{i_k}> = delta_jk; None unless unimodular
-        ))):
-    __slots__ = ()
+Vertex = namedtuple("Vertex", (
+    "coords",  # Fractions, pi-units
+    "tight",  # all tight facet indices, 1-based, sorted
+    "normal_det",  # det of the tight normal matrix; None unless simple
+    "edge_dirs",  # tuple of primitive int vectors w_j with <w_j, v_{i_k}> = delta_jk; None unless unimodular
+))
 
+PrimitiveCollection = namedtuple("PrimitiveCollection", (
+    "indices",  # sorted facet indices, 1-based
+    "batyrev",  # length-d relation vector: 1 on indices, <= 0 elsewhere
+    "m",  # quantum degree |I| - sum of |a_k| off I
+))
 
-class PrimitiveCollection(namedtuple("PrimitiveCollection", (
-        "indices",  # sorted facet indices, 1-based
-        "batyrev",  # length-d relation vector: 1 on indices, <= 0 elsewhere
-        "m",  # quantum degree |I| - sum of |a_k| off I
-        ))):
-    __slots__ = ()
-
-
-class DelzantReport(namedtuple("DelzantReport", (
-        "ok",
-        "reasons",  # human-readable, each starting with its Reject code
-        "vertices",
-        ))):
-    __slots__ = ()
+DelzantReport = namedtuple("DelzantReport", (
+    "ok",
+    "reasons",  # human-readable, each starting with its Reject code
+    "vertices",
+))
 
 
 def _dot(v, x):

@@ -28,37 +28,29 @@ from .polytope import (
 )
 
 
-class Presentation(namedtuple("Presentation", (
-        "space",  # "L" | "M"
-        "flavor",  # "classical" | "quantum"
-        "nvars",
-        "generator_cod",  # degree of each X_i: 1 for L, 2 for M
-        "grading_unit",  # degree of q: 1 for L, 2 for M
-        "linear_relations",
-        "sr_relations",
-        ))):
-    __slots__ = ()
+Presentation = namedtuple("Presentation", (
+    "space",  # "L" | "M"
+    "flavor",  # "classical" | "quantum"
+    "nvars",
+    "grading_unit",  # degree of q and of each X_i: 1 for L, 2 for M
+    "linear_relations",
+    "sr_relations",
+))
 
+SeidelElement = namedtuple("SeidelElement", (
+    "element",  # QHElement
+    "provenance",  # facet index or integer combination
+))
 
-class SeidelElement(namedtuple("SeidelElement", (
-        "element",  # QHElement
-        "provenance",  # facet index or integer combination
-        ))):
-    __slots__ = ()
+UniruledCertificate = namedtuple("UniruledCertificate", (
+    "witness",  # SeidelElement
+    "inverse",  # QHElement, or None when inversion failed
+    "fundamental_coefficient",  # frozenset: q-exponents on the unit class
+    "verdict",  # "uniruled" | "inconclusive"
+    "reason",
+))
 
-
-class UniruledCertificate(namedtuple("UniruledCertificate", (
-        "witness",  # SeidelElement
-        "inverse",  # QHElement, or None when inversion failed
-        "fundamental_coefficient",  # frozenset: q-exponents on the unit class
-        "verdict",  # "uniruled" | "inconclusive"
-        "reason",
-        ))):
-    __slots__ = ()
-
-
-class CrosscheckReport(namedtuple("CrosscheckReport", ("betti", "hilbert"))):
-    __slots__ = ()
+CrosscheckReport = namedtuple("CrosscheckReport", ("betti", "hilbert"))
 
 
 def linear_relations(p):
@@ -117,9 +109,9 @@ def build_ring(p, space="L", flavor="quantum"):
     require_delzant(p)
     lin = linear_relations(p)
     sr = quantum_sr(p) if flavor == "quantum" else classical_sr(p)
-    unit_deg = 1 if space == "L" else 2
     ring = QuotientRing(lin + sr, nvars=p.nfacets)
-    pres = Presentation(space, flavor, p.nfacets, unit_deg, unit_deg, lin, sr)
+    pres = Presentation(space, flavor, p.nfacets, 1 if space == "L" else 2,
+                        lin, sr)
     return ring, pres
 
 
@@ -159,8 +151,6 @@ def multiply(ring, a, b):
             for e1 in s1:
                 for e2 in s2:
                     conv ^= {e1 + e2}
-            if not conv:
-                continue
             c12 = c1 + ring.cod[m2]
             for m3 in ring.nf_mono_mul(m1, m2):
                 shift = ring.cod[m3] - c12
@@ -325,15 +315,13 @@ def verify_psi(p, ring):
 
 def uniruled_certificate(ring):
     """Invertible Seidel witness S_1 with no fundamental-class term."""
+    witness = SeidelElement(_facet_element(ring, 1), 1)
+    fundamental = witness.element.coeffs.get(ring.basis[0], frozenset())
     try:
-        witness = seidel_facet(ring, 1)
         inv = seidel_inverse(ring, 1)
     except NotInvertibleError as err:
-        witness = SeidelElement(_facet_element(ring, 1), 1)
-        fundamental = witness.element.coeffs.get(ring.basis[0], frozenset())
         return UniruledCertificate(witness, None, fundamental,
                                    "inconclusive", str(err))
-    fundamental = witness.element.coeffs.get(ring.basis[0], frozenset())
     if fundamental:
         return UniruledCertificate(witness, inv, fundamental, "inconclusive",
                                    "witness carries a fundamental-class term")

@@ -31,7 +31,7 @@ def records():
         (primitive_collection_data(p)[0], ("indices", "batyrev", "m")),
         (report, ("ok", "reasons", "vertices")),
         (ring.gb, ("generators", "nvars")),
-        (pres, ("space", "flavor", "nvars", "generator_cod", "grading_unit",
+        (pres, ("space", "flavor", "nvars", "grading_unit",
                 "linear_relations", "sr_relations")),
         (seidel_facet(ring, 1), ("element", "provenance")),
         (uniruled_certificate(ring), ("witness", "inverse",
