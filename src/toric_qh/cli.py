@@ -181,7 +181,6 @@ class DisplayMap:
     """
 
     def __init__(self, ring, prefix="X", qsym="q"):
-        self.ring = ring
         self.prefix = prefix
         self.qsym = qsym
         d = ring.nvars
@@ -195,29 +194,21 @@ class DisplayMap:
             e2, = nf
             if sum(e2) == 1:
                 members.setdefault(e2.index(1) + 1, []).append(i)
-        self._num = {s: min(ms) for s, ms in members.items()}
-        self.var_name = {s: prefix + str(self._num[s]) for s in members}
-        self.class_members = {self.var_name[s]: sorted(members[s])
-                              for s in members}
-        order = sorted(members, key=lambda s: self._num[s])
+        # each list grows in facet order, so it is sorted
+        self._num = {s: ms[0] for s, ms in members.items()}
+        self.var_name = {s: prefix + str(n) for s, n in self._num.items()}
+        self.class_members = {self.var_name[s]: ms
+                              for s, ms in members.items()}
+        order = sorted(members, key=self._num.get)
         self.alias_to_var = dict(zip(_ALIASES, order))
-
-    def name_of(self, s, raw=False):
-        if raw or s not in self.var_name:
-            return self.prefix + str(s)
-        return self.var_name[s]
-
-    def num_of(self, s, raw=False):
-        if raw or s not in self._num:
-            return s
-        return self._num[s]
 
     def term_factors(self, exps, raw=False):
         """A monomial's factors as strings, name or name^power, in the
-        numeric order of their names."""
-        items = sorted((self.num_of(s, raw), self.name_of(s, raw), e)
+        numeric order of their names; a name is prefix + number."""
+        items = sorted((s if raw else self._num.get(s, s), e)
                        for s, e in enumerate(exps, start=1) if e)
-        return [name if e == 1 else f"{name}^{e}" for _, name, e in items]
+        return [self.prefix + str(n) + ("" if e == 1 else f"^{e}")
+                for n, e in items]
 
 
 def render_element_monomial(m, dmap):
@@ -347,27 +338,18 @@ def parse_element(text, ring, dmap):
     return _ExprParser(text, ring, dmap).parse()
 
 
-def _parse_combo(text, d):
+def _parse_ints(text, n, what):
+    """Exactly n comma-separated integers; ``what`` names them in errors."""
     parts = [s.strip() for s in text.split(",")]
-    if len(parts) != d:
-        raise ParseError(f"combination needs {d} entries, got {len(parts)}")
+    if len(parts) != n:
+        raise ParseError(f"{what} needs {n} entries, got {len(parts)}")
     out = []
     for s in parts:
         try:
             out.append(int(s))
         except ValueError:
-            raise ParseError(f"bad combination entry {s!r}") from None
+            raise ParseError(f"bad {what} entry {s!r}") from None
     return tuple(out)
-
-
-def _parse_xi(text, n):
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) != n:
-        raise ParseError(f"xi needs {n} entries, got {len(parts)}")
-    try:
-        return tuple(int(s) for s in parts)
-    except ValueError:
-        raise ParseError(f"bad xi entry in {text!r}") from None
 
 
 def _facets_payload(p):
@@ -452,7 +434,7 @@ def _cmd_seidel(args, p):
         se = seidel_facet(ring, args.facet)
         provenance = {"facet": args.facet}
     else:
-        combo = _parse_combo(args.combo, p.nfacets)
+        combo = _parse_ints(args.combo, p.nfacets, "combination")
         se = seidel_composite(ring, combo)
         provenance = {"combo": list(combo)}
     payload = {"provenance": provenance,
@@ -482,7 +464,7 @@ def _cmd_invert(args, p):
 
 def _cmd_betti(args, p):
     require_delzant(p)
-    xi = _parse_xi(args.xi, p.dim) if args.xi else generic_xi(p)
+    xi = _parse_ints(args.xi, p.dim, "xi") if args.xi else generic_xi(p)
     b = betti_numbers_L(p, xi)
     payload = {"xi": list(xi), "betti": list(b), "total": sum(b)}
     return payload, 0
@@ -570,10 +552,10 @@ def _cmd_selfcheck(args, p):
     else:
         for name, _ in stages:
             checks.append({"name": name, "skipped": True})
-    passed = all(c.get("ok", False) for c in checks if not c.get("skipped"))
-    skipped_any = any(c.get("skipped") for c in checks)
-    payload = {"checks": checks, "passed": passed and not skipped_any}
-    return payload, 0 if payload["passed"] else 1
+    # stages are skipped only after a failed delzant check, whose
+    # ok: false already fails the verdict
+    passed = all(c.get("ok", True) for c in checks)
+    return {"checks": checks, "passed": passed}, 0 if passed else 1
 
 
 _HANDLERS = {

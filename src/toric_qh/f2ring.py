@@ -417,13 +417,6 @@ class QHElement:
             if exps:
                 self.coeffs[m] = exps
 
-    @property
-    def homogeneous_cod(self):
-        """The one value of cod(m) - e over the support, or None for a
-        zero or mixed element.  Costs O(terms)."""
-        cods = {sum(m) - e for m, exps in self.coeffs.items() for e in exps}
-        return cods.pop() if len(cods) == 1 else None
-
     def is_zero(self):
         return not self.coeffs
 

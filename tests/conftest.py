@@ -66,3 +66,16 @@ def _random_division(f, basis, rng):
 def random_division():
     """``_random_division(f, basis, rng)``, the confluence tests' oracle."""
     return _random_division
+
+
+def _homogeneous_cod(el):
+    """The one value of cod(m) - e over the support of a ``QHElement``, or
+    None for a zero or mixed element."""
+    cods = {sum(m) - e for m, exps in el.coeffs.items() for e in exps}
+    return cods.pop() if len(cods) == 1 else None
+
+
+@pytest.fixture
+def homogeneous_cod():
+    """``_homogeneous_cod(el)``, the grading check of the element tests."""
+    return _homogeneous_cod

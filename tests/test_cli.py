@@ -20,6 +20,7 @@ from toric_qh.cli import (
     polytope_from_data,
     polytope_to_json,
     render_element,
+    render_text,
     run_command,
 )
 from toric_qh.errors import ParseError, SchemaError
@@ -184,6 +185,18 @@ def test_psi_check_and_uniruled():
                    "inverse: X1^2*X4*q^3 + X4*q\n")
 
 
+def test_inconclusive_uniruled_text_prints_its_reason():
+    code, out = run(["--format", "json", "uniruled", "blowup_cp3"])
+    assert code == 0
+    report = json.loads(out)
+    report.update(verdict="inconclusive", inverse=None,
+                  reason="witness carries a fundamental-class term")
+    assert render_text(report) == (
+        "verdict: inconclusive\n"
+        "witness: X1*q\n"
+        "reason: witness carries a fundamental-class term")
+
+
 def test_one_ring_per_flavor(monkeypatch):
     # M is the L ring with doubled degrees, not a second ring: selfcheck
     # builds the classical and the quantum ring once each and never
@@ -227,6 +240,19 @@ def test_selfcheck_pass_and_fail():
     assert "[FAIL] delzant" in out
     assert out.count("[SKIP]") == 6
     assert out.rstrip().endswith("selfcheck: FAILED")
+
+
+def test_selfcheck_skips_every_stage_after_a_failed_delzant_check():
+    code, out = run(["--format", "json", "selfcheck",
+                     "tests/fixtures/det2_square.json"])
+    assert code == 1
+    report = json.loads(out)
+    assert report["passed"] is False and report["ok"] is False
+    first, *rest = report["checks"]
+    assert (first["name"], first["ok"]) == ("delzant", False)
+    assert rest == [{"name": name, "skipped": True} for name in (
+        "fano_degrees", "min_quantum_degree", "betti_crosscheck",
+        "seidel_relations", "psi", "uniruled")]
 
 
 def test_selfcheck_reports_a_failed_crosscheck(monkeypatch):
@@ -434,6 +460,12 @@ def test_usage_errors_exit_two():
     assert run_command(["seidel", "blowup_cp3"], out=io.StringIO()) == 2
     assert run_command(["seidel", "--facet", "1", "--combo", "1,0,0,0,0",
                         "blowup_cp3"], out=io.StringIO()) == 2
+    # a trailing --combo or --xi has no value to join and reaches argparse
+    # as it is
+    assert run_command(["seidel", "blowup_cp3", "--combo"],
+                       out=io.StringIO()) == 2
+    assert run_command(["betti", "blowup_cp3", "--xi"],
+                       out=io.StringIO()) == 2
 
 
 def test_out_of_range_arguments_exit_two():
@@ -441,8 +473,7 @@ def test_out_of_range_arguments_exit_two():
     assert (code, out) == (
         2, "error[ParseError]: facet index 0 out of range 1..3\n")
     code, out = run(["betti", "--xi", "1,a", "cp2"])
-    assert code == 2
-    assert out.startswith("error[ParseError]: bad xi entry")
+    assert (code, out) == (2, "error[ParseError]: bad xi entry 'a'\n")
 
 
 def test_io_errors_exit_two(tmp_path):
@@ -472,8 +503,9 @@ def test_expression_parse_errors():
         (["mul", "X1 Y", "Y", "blowup_cp3"], "unexpected 'Y'"),
         (["seidel", "--combo", "1,2", "blowup_cp3"],
          "combination needs 5 entries, got 2"),
-        (["seidel", "--combo", "1,a,0,0,0", "blowup_cp3"], ""),
-        (["betti", "--xi", "1,2", "blowup_cp3"], ""),
+        (["seidel", "--combo", "1,a,0,0,0", "blowup_cp3"],
+         "bad combination entry 'a'"),
+        (["betti", "--xi", "1,2", "blowup_cp3"], "xi needs 3 entries, got 2"),
     ]
     for argv, needle in cases:
         code, out = run(argv)

@@ -21,6 +21,7 @@ from toric_qh.f2ring import (
     is_homogeneous,
     lm,
     reduce_poly,
+    rehomogenize,
     saturate_t,
 )
 
@@ -171,6 +172,19 @@ def test_buchberger_in_no_variables():
     # a monomial of no variables is the empty tuple, and packs as 0
     one = poly(())
     assert buchberger((one, one), 0).generators == (one,)
+
+
+def test_buchberger_rejects_mixed_variable_counts():
+    with pytest.raises(ValueError, match="mixed variable counts"):
+        buchberger((poly((1, 0)), poly((1,))), 2)
+
+
+def test_rehomogenize_rejects_a_non_standard_monomial():
+    # F2[X]/(X^2) has basis 1, X, so X^2 is not standard
+    ring = QuotientRing((poly((2, 0)),), nvars=1)
+    assert ring.basis == ((0,), (1,))
+    with pytest.raises(ValueError, match="not a standard monomial"):
+        rehomogenize(poly((2,)), 2, ring)
 
 
 def test_infinite_dimensional_rejected():

@@ -26,6 +26,7 @@ from toric_qh.exact_linalg import (
 from toric_qh.polytope import (
     Polytope,
     PrimitiveCollection,
+    Vertex,
     _dot,
     _recession_ray,
     _scaled_offsets,
@@ -982,3 +983,16 @@ def test_dualization_matches_brute_force(name):
 def test_primitive_collections_cp40():
     assert primitive_collections(builtin_polytope("cp40")) == \
         (tuple(range(1, 42)),)
+
+
+def test_bad_arguments_raise_value_error():
+    with pytest.raises(ValueError, match="dim must be >= 1"):
+        Polytope.from_facets(0, [((), 0)])
+    p = builtin_polytope("blowup_cp3")
+    for indices in ((0,), (6,), (1, 6), ()):
+        with pytest.raises(ValueError, match="facet indices out of range"):
+            batyrev_vector(p, indices)
+    # a vertex of a non-unimodular input carries no edge directions
+    v = Vertex((Fraction(0), Fraction(0)), (1, 2), 2, None)
+    with pytest.raises(ValueError, match="lacks edge directions"):
+        morse_index_L(v, (1, 2))

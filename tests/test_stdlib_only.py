@@ -40,16 +40,22 @@ UNCALLED = {
 
 
 def test_src_defines_nothing_only_tests_read():
-    # a top-level function or class that only tests read belongs in
-    # tests/; a reference is a name or an attribute in code outside the
-    # definition itself, so an import or a string does not count, and a
-    # local variable of the same name does
+    # a top-level function or class, or a non-dunder method or property
+    # of a top-level class, that only tests read belongs in tests/; a
+    # reference is a name or an attribute in code outside the definition
+    # itself, so an import or a string does not count, and a local
+    # variable of the same name does
     trees = {path: ast.parse(path.read_text(), filename=str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     defs = {node.name: node for tree in trees.values() for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert UNCALLED <= set(defs), sorted(UNCALLED - set(defs))
-    own = {id(node) for node in defs.values()}
+    members = {f"{cls.name}.{node.name}": node for cls in defs.values()
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, ast.FunctionDef)
+               and not (node.name.startswith("__")
+                        and node.name.endswith("__"))}
+    own = {id(node) for node in (*defs.values(), *members.values())}
     for path in sorted((ROOT / "scripts").glob("*.py")) + \
             sorted((ROOT / "perfbench").glob("*.py")):
         trees[path] = ast.parse(path.read_text(), filename=str(path))
@@ -64,6 +70,8 @@ def test_src_defines_nothing_only_tests_read():
         stack.extend((child, child.name if id(child) in own else inside)
                      for child in ast.iter_child_nodes(node))
     unread = sorted(set(defs) - used - UNCALLED)
+    unread += sorted(name for name in members
+                     if name.partition(".")[2] not in used)
     assert not unread, f"only tests read {unread}"
 
 
