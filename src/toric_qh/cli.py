@@ -44,6 +44,9 @@ SCHEMA_VERSION = 1
 
 _ALIASES = "XYZWVU"
 _CP_RE = re.compile(r"^cp([1-9][0-9]?)$")
+# the one integer rule of both readers: an optional '-' and ASCII digits
+# (int() also takes other Unicode digits, '+' and '_')
+_DIGITS = re.compile(r"[0-9]+")
 
 
 def _cp(n):
@@ -270,13 +273,12 @@ class _ExprParser:
 
     def take_int(self, signed=False):
         start = self.pos
-        if signed and self.pos < len(self.text) and self.text[self.pos] == "-":
+        if signed and self.text.startswith("-", self.pos):
             self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
+        m = _DIGITS.match(self.text, self.pos)
+        if m is None:
             self.fail("expected an integer")
+        self.pos = m.end()
         try:
             return int(self.text[start:self.pos])
         except ValueError:  # past the interpreter's int-string digit limit
@@ -311,8 +313,7 @@ class _ExprParser:
         if ch in ("L", "1"):
             self.pos += 1
             return 0
-        if ch == "X" and self.pos + 1 < len(self.text) \
-                and self.text[self.pos + 1].isdigit():
+        if ch == "X" and _DIGITS.match(self.text, self.pos + 1):
             self.pos += 1
             idx = self.take_int()
             if not 1 <= idx <= self.ring.nvars:
@@ -346,8 +347,10 @@ def _parse_ints(text, n, what):
     out = []
     for s in parts:
         try:
+            if not _DIGITS.fullmatch(s.removeprefix("-")):
+                raise ValueError
             out.append(int(s))
-        except ValueError:
+        except ValueError:  # or past the interpreter's int-string digit limit
             raise ParseError(f"bad {what} entry {s!r}") from None
     return tuple(out)
 

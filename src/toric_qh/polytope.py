@@ -124,9 +124,10 @@ def _normals_hnf(p):
     return h, sum(1 for row in h if any(row))
 
 
-def _subset_solutions(p):
+def _subset_solutions(p, subsets=None):
     """Feasible solutions of the nonsingular dim-subsets of facet equations,
-    in integers, in ``combinations`` order, with repeats.
+    in integers, in ``combinations`` order (or that of ``subsets``), with
+    repeats.
 
     With L and the scaled offsets from ``_scaled_offsets``, each
     dim-subset S gets one fraction-free elimination of
@@ -141,7 +142,9 @@ def _subset_solutions(p):
     n = p.dim
     eye = identity(n)
     _, offs = _scaled_offsets(p)
-    for subset in combinations(range(p.nfacets), n):
+    if subsets is None:
+        subsets = combinations(range(p.nfacets), n)
+    for subset in subsets:
         vdet, sol = _gauss_jordan([p.normals[i] for i in subset],
                                   [eye[j] + (offs[i],)
                                    for j, i in enumerate(subset)])
@@ -159,6 +162,30 @@ def _subset_solutions(p):
             slack.append(s)
         else:
             yield subset, vdet, xs, slack, [row[:n] for row in sol]
+
+
+def _first_independent(normals, n):
+    """Indices of the first n linearly independent normals in index order,
+    or None when the normals have rank below n.
+
+    By the greedy rule these are the first nonsingular dim-subset in
+    ``combinations`` order.  One incremental integer elimination: each
+    normal is reduced against the kept ones, each of which is zero on the
+    pivot columns of those before it, and is kept, divided by its content,
+    when something is left."""
+    kept, picked = [], []
+    for i, v in enumerate(normals):
+        for col, row in kept:
+            if v[col]:
+                v = [x * row[col] - v[col] * y for x, y in zip(v, row)]
+        col = next((k for k, x in enumerate(v) if x), None)
+        if col is not None:
+            g = gcd(*v)
+            kept.append((col, [x // g for x in v]))
+            picked.append(i)
+            if len(picked) == n:
+                return tuple(picked)
+    return None
 
 
 def _edge_dirs(vdet, adj):
@@ -206,9 +233,12 @@ def _walk_vertices(p):
     signed det V, a base row [slack_k | X], with X = L*x and
     slack_k = <v_k, X> - L*a_k, and one row [r_jk | w_j] per edge
     direction w_j, with r_jk = <v_k, w_j>.  The start is the first
-    feasible solution of a dim-subset of facet equations
-    (``_subset_solutions``); its pairings with its own tight facets are
-    delta_jk, since V * W = I, so only the other d - n are computed.
+    feasible solution of a dim-subset of facet equations in
+    ``combinations`` order: that of the first n independent facets
+    (``_first_independent``), one elimination, when it is feasible, and
+    else the subset scan's first (``_subset_solutions``).  Its pairings
+    with its own tight facets are delta_jk, since V * W = I, so only the
+    other d - n are computed.
     Leaving along w_i, the first facet k to block it (least
     slack_k / -r_ik over r_ik < 0, by cross-multiplication) swaps in for
     facet i.  Since det V' = det(V) * r_ik (determinant lemma), the next
@@ -222,7 +252,11 @@ def _walk_vertices(p):
     """
     n, d = p.dim, p.nfacets
     scale, _ = _scaled_offsets(p)
-    start = next(_subset_solutions(p), None)
+    first = _first_independent(p.normals, n)
+    if first is None:
+        return ()
+    start = next(_subset_solutions(p, [first]), None) or \
+        next(_subset_solutions(p), None)
     if start is None:
         return ()
     subset, vdet, xs, slack, adj = start

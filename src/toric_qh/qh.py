@@ -10,6 +10,7 @@ uniruledness certificates.
 """
 
 from collections import namedtuple
+from operator import mul
 
 from .errors import CrosscheckFailedError, NotInvertibleError
 from .f2ring import (
@@ -106,13 +107,34 @@ def build_ring(p, space="L", flavor="quantum"):
         raise ValueError(f"space must be 'L' or 'M', got {space!r}")
     if flavor not in ("classical", "quantum"):
         raise ValueError(f"flavor must be 'classical' or 'quantum', got {flavor!r}")
-    require_delzant(p)
+    report = require_delzant(p)
     lin = linear_relations(p)
     sr = quantum_sr(p) if flavor == "quantum" else classical_sr(p)
     ring = QuotientRing(lin + sr, nvars=p.nfacets)
+    ring.cache["reversed_loop"] = _reversed_loop(p, report)
     pres = Presentation(space, flavor, p.nfacets, 1 if space == "L" else 2,
                         lin, sr)
     return ring, pres
+
+
+def _reversed_loop(p, report):
+    """The nonnegative integer c with sum_k c_k v_k = -sum_k v_k.
+
+    The loop -sum_k v_k lies in some vertex cone, and is expanded in that
+    vertex's unimodular normal basis by pairing with its edge directions,
+    as in ``batyrev_vector``; the expansion is unique, so the first
+    vertex with nonnegative pairings gives c.  Since sum_k (c_k + 1) v_k
+    = 0, S_c = prod_k S_k^{c_k} is the Seidel element of the reversed
+    loop, the inverse of the product of all facet elements."""
+    s = [-sum(col) for col in zip(*p.normals)]
+    for v in report.vertices:
+        coeffs = [sum(map(mul, w, s)) for w in v.edge_dirs]
+        if min(coeffs) >= 0:
+            c = [0] * p.nfacets
+            for i, ci in zip(v.tight, coeffs):
+                c[i - 1] = ci
+            return tuple(c)
+    raise AssertionError("the vertex cones of a polytope cover its fan")
 
 
 def unit(ring):
@@ -231,12 +253,15 @@ def _facet_element(ring, j):
 def seidel_facet(ring, j):
     """Seidel element of the facet-j half rotation: X_j q, verified invertible.
 
-    The first call on a ring builds every S_k = X_k q and inverts their
-    product P once, keeping P^-1.  In a commutative ring a product is a
-    unit iff every factor is, so that one inversion verifies all d facets;
-    if P is not a unit, no facet of the ring is verified and every call
-    raises NotInvertibleError.  seidel_inverse derives each S_k^-1 from
-    P^-1 on demand.
+    The first call on a ring builds every S_k = X_k q and their product
+    P, and keeps P^-1.  On a ring from ``build_ring`` that is S_c, the
+    Seidel element of the reversed loop (``_reversed_loop``), kept only
+    once P * S_c is checked to be the unit; on any other ring it is
+    ``invert(ring, P)``.  In a commutative ring a product is a unit iff
+    every factor is, so that one check verifies all d facets; if P is not
+    a unit, no facet of the ring is verified and every call raises
+    NotInvertibleError.  seidel_inverse derives each S_k^-1 from P^-1 on
+    demand.
     """
     key = ("seidel", j)
     if key not in ring.cache:
@@ -246,7 +271,16 @@ def seidel_facet(ring, j):
         prod = unit(ring)
         for el in facets:
             prod = multiply(ring, prod, el)
-        ring.cache["seidel_product_inv"] = invert(ring, prod)
+        c = ring.cache.get("reversed_loop")
+        if c is None:
+            inv = invert(ring, prod)
+        else:
+            inv = element_from_monomial(ring, c, qexp=sum(c))
+            if multiply(ring, prod, inv) != unit(ring):
+                raise NotInvertibleError(
+                    "the product of the facet Seidel elements times that "
+                    "of the reversed loop is not the unit")
+        ring.cache["seidel_product_inv"] = inv
         for k, el in enumerate(facets, start=1):
             ring.cache[("seidel", k)] = SeidelElement(el, k)
     return ring.cache[key]

@@ -28,6 +28,7 @@ from toric_qh.polytope import (
     PrimitiveCollection,
     Vertex,
     _dot,
+    _first_independent,
     _recession_ray,
     _scaled_offsets,
     _subset_solutions,
@@ -643,8 +644,8 @@ def test_walk_stays_integer(name, monkeypatch):
 
 
 def test_walk_corpus_starts_past_first_subset():
-    # the first dim-subset of facets meets in no vertex, so the start
-    # scan has to pass over it
+    # the first dim-subset of facets meets in no vertex, so the walk's
+    # start has to pass over it
     p = WALK_CORPUS["cp2xcp2"]
     first = tuple(range(1, p.dim + 1))
     assert all(v.tight != first for v in _sweep_vertices(p))
@@ -696,6 +697,64 @@ def test_walk_keeps_redundant_facet_report():
     assert _walk_vertices(p) is not None
     assert validate_delzant(p).reasons == (
         "RejectRedundantFacet: facet 4 is tight at no vertex",)
+
+
+def _count_eliminations(monkeypatch):
+    """Counts of the polytope layer's ``_gauss_jordan`` and
+    ``hermite_normal_form`` calls from here on."""
+    import toric_qh.polytope as polytope
+
+    calls = {"_gauss_jordan": 0, "hermite_normal_form": 0}
+    for name in calls:
+        real = getattr(polytope, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(polytope, name, counted)
+    return calls
+
+
+def test_valid_bases_validate_with_one_elimination(monkeypatch,
+                                                  perfbench_module):
+    # the walk starts at the first independent facets: one elimination,
+    # no scan of the singular subsets before them and no rank read
+    bases = perfbench_module("inputs").named_bases()
+    calls = _count_eliminations(monkeypatch)
+    for name, base in bases.items():
+        p = Polytope.from_facets(base.dim, base.facets)
+        for k in calls:
+            calls[k] = 0
+        assert validate_delzant(p).ok, name
+        assert calls == {"_gauss_jordan": 1, "hermite_normal_form": 0}, name
+
+
+def test_first_independent_facets():
+    assert _first_independent(builtin_polytope("cp3").normals, 3) == (0, 1, 2)
+    # product bases: facets 1 and 2 of cp1xcp1 are parallel
+    assert _first_independent(builtin_polytope("cp1xcp1").normals, 2) == (0, 2)
+    # the second normal is parallel to the first, and the fourth lies in
+    # the span of the first and third: the greedy pick skips both
+    assert _first_independent(((2, 4, 0), (1, 2, 0), (3, 1, 0), (5, 5, 0),
+                               (0, 0, -1)), 3) == (0, 2, 4)
+    assert _first_independent(((1, 0, 0), (0, 1, 0), (1, 1, 0)), 3) is None
+
+
+def test_walk_starts_past_infeasible_first_independent_facets(monkeypatch):
+    # x >= 0 and -x - y >= -3 meet at (0, 3), outside y <= 2: the start
+    # falls back to the subset scan, whose first feasible solution is the
+    # vertex (0, 0) of x >= 0, y >= 0
+    p = Polytope.from_facets(2, [((1, 0), 0), ((-1, -1), -3), ((0, 1), 0),
+                                 ((0, -1), -2)])
+    assert _first_independent(p.normals, 2) == (0, 1)
+    assert next(_subset_solutions(p, [(0, 1)]), None) is None
+    calls = _count_eliminations(monkeypatch)
+    walked = _walk_vertices(p)
+    assert calls["_gauss_jordan"] > 1
+    assert walked is not None and walked == _sweep_vertices(p)
+    assert [v.coords for v in walked] == [(0, 0), (0, 2), (1, 2), (3, 0)]
+    assert validate_delzant(p).ok
 
 
 def _laplace_det(rows):
@@ -912,8 +971,9 @@ def test_line_in_dim6_stops_at_the_rank():
 
 
 def test_rank_deficient_scan_stops_at_first_singular_subset(monkeypatch):
-    # the input of test_no_vertex_scans_each_subset_once: one singular
-    # elimination, then the C(16, 3) subsets of the rank-3 image
+    # the input of test_no_vertex_scans_each_subset_once: the walk reads
+    # the rank below dim with no elimination, then the region's image
+    # costs the C(16, 3) subsets of the rank-3 image
     import toric_qh.polytope as polytope
 
     rng = random.Random(7)
@@ -934,7 +994,7 @@ def test_rank_deficient_scan_stops_at_first_singular_subset(monkeypatch):
     monkeypatch.setattr(polytope, "_gauss_jordan", counted)
     assert validate_delzant(p).reasons == (
         "RejectEmpty: no point satisfies all facet inequalities",)
-    assert len(calls) <= 1 + comb(16, 3)
+    assert len(calls) <= comb(16, 3)
 
 
 def test_primitive_collections_computed_once(monkeypatch):

@@ -638,14 +638,65 @@ def corpus_polytopes(perfbench_module):
         Polytope.from_facets(b.dim, b.facets) for b in bases.values()]
 
 
-def test_seidel_inverse_matches_invert(perfbench_module):
-    # S_j^-1 is derived from the inverse of the product of all facet
-    # elements; invert computes it afresh from S_j alone
+def test_reversed_loop_is_a_nonnegative_expansion(perfbench_module):
+    # c >= 0 with sum_k c_k v_k = -sum_k v_k; every product of projective
+    # spaces has sum_k v_k = 0, so c = 0 there
     for p in corpus_polytopes(perfbench_module):
         ring, _ = build_ring(p)
+        c = ring.cache["reversed_loop"]
+        assert len(c) == p.nfacets and min(c) >= 0, p
+        for k in range(p.dim):
+            assert sum(ck * v[k] for ck, v in zip(c, p.normals)) == \
+                -sum(v[k] for v in p.normals), p
+    for name in ("cp1", "cp5", "cp1xcp1"):
+        ring, _ = build_ring(builtin_polytope(name))
+        assert not any(ring.cache["reversed_loop"]), name
+
+
+def _facet_product(ring):
+    prod = unit(ring)
+    for j in range(1, ring.nvars + 1):
+        prod = multiply(ring, prod, element_from_monomial(
+            ring, [int(k == j) for k in range(1, ring.nvars + 1)], qexp=1))
+    return prod
+
+
+def test_product_check_refuses_a_mutated_ring(monkeypatch):
+    # X1 X2 X5 + X4 t^2 becomes X1 X2 X5 + X1 t^2: the ring is still
+    # finite, but the product of the facet elements is no unit there, and
+    # the one product check says so, as Bareiss does
+    import toric_qh.qh as qh
+
+    p = builtin_polytope("blowup_cp3")
+    sr = quantum_sr(p)
+    assert sr[0] == poly((0, 0, 0, 1, 0, 2), (1, 1, 0, 0, 1, 0))
+    mutated = (poly((1, 0, 0, 0, 0, 2), (1, 1, 0, 0, 1, 0)),) + sr[1:]
+    monkeypatch.setattr(qh, "quantum_sr", lambda _: mutated)
+    ring, pres = build_ring(p)
+    assert pres.sr_relations == mutated and ring.dim == 6
+    assert ring.cache["reversed_loop"] == (0, 0, 1, 0, 0)
+    for j in range(1, ring.nvars + 1):
+        with pytest.raises(NotInvertibleError):
+            seidel_facet(ring, j)
+    with pytest.raises(NotInvertibleError):
+        invert(ring, _facet_product(ring))
+    assert uniruled_certificate(ring).verdict == "inconclusive"
+
+
+def test_seidel_inverse_matches_invert(perfbench_module):
+    # S_j^-1 is derived from the inverse of the product of all facet
+    # elements, which is read from the fan; Bareiss, kept as the oracle,
+    # computes both afresh, from the product and from S_j alone
+    for p in corpus_polytopes(perfbench_module):
+        ring, _ = build_ring(p)
+        seidel_facet(ring, 1)
+        assert ring.cache["seidel_product_inv"] == \
+            invert(ring, _facet_product(ring)), p
         for j in range(1, ring.nvars + 1):
             s = seidel_facet(ring, j).element
-            assert seidel_inverse(ring, j) == invert(ring, s), (p, j)
+            inv = seidel_inverse(ring, j)
+            assert inv == invert(ring, s), (p, j)
+            assert multiply(ring, s, inv) == unit(ring), (p, j)
 
 
 def test_seidel_composite_negation_is_inverse():
