@@ -9,8 +9,8 @@ from .errors import (
     NoBatyrevVectorError,
     NonGenericXiError,
     NonHomogeneousGeneratorError,
-    NonUniqueBatyrevVectorError,
     NotInvertibleError,
+    OutOfMemoryError,
     ParseError,
     SchemaError,
     ToricQHError,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import cache
 from time import perf_counter
 
-from .errors import ParseError, SchemaError, ToricQHError
+from .errors import OutOfMemoryError, ParseError, SchemaError, ToricQHError
 from .f2ring import QHElement, grevlex_key, lm
 from .polytope import (
     Polytope,
@@ -756,7 +756,10 @@ def run_command(argv, out=None):
         report.update(payload)
         if code:
             report["ok"] = False
-    except ToricQHError as err:
+    except (ToricQHError, MemoryError) as exc:
+        # unwinding to here has freed what the failed command held
+        err = exc if isinstance(exc, ToricQHError) else OutOfMemoryError(
+            f"{args.command} ran out of memory")
         info = {"code": err.code, "message": str(err)}
         for extra in ("line", "col", "path"):
             val = getattr(err, extra, None)

@@ -51,10 +51,6 @@ class NoBatyrevVectorError(ToricQHError):
     code = "NoBatyrevVector"
 
 
-class NonUniqueBatyrevVectorError(ToricQHError):
-    code = "NonUniqueBatyrevVector"
-
-
 class NonHomogeneousGeneratorError(ToricQHError):
     code = "NonHomogeneousGenerator"
 
@@ -65,6 +61,10 @@ class InfiniteDimensionalError(ToricQHError):
 
 class NotInvertibleError(ToricQHError):
     code = "NotInvertible"
+
+
+class OutOfMemoryError(ToricQHError):
+    code = "OutOfMemory"
 
 
 class CrosscheckFailedError(ToricQHError):

@@ -227,12 +227,19 @@ def reduce_poly(f, gb):
 
 
 def _groebner(div):
-    """Reduced Groebner basis of the packed polynomials div, which grows
-    in place, as term lists with leading terms descending.  Pairs are
-    taken smallest lcm first; raises _Overflow before a pair whose
-    S-polynomial might not fit the fields."""
-    pk, lms, tails = div.pk, div.lms, div.tails
+    """Reduced Groebner basis of the packed polynomials div, as term
+    lists with leading terms descending.  The input is autoreduced in
+    ascending order of leading term, so a linear form reduces a generator
+    once, not through an S-pair.  Pairs are taken smallest lcm first;
+    raises _Overflow before a pair whose S-polynomial might not fit."""
+    pk = div.pk
     guard, cap, degree = pk.guard, pk.cap, pk.degree
+    lms, tails = [], []
+    for k in sorted(range(len(div.lms)), key=div.lms.__getitem__):
+        r = _reduce({div.lms[k], *div.tails[k]}, lms, tails, guard)
+        if r:
+            lms.append(r[0])
+            tails.append(r[1:])
     pairs = []
 
     def add_pairs(j):
@@ -264,12 +271,10 @@ def _groebner(div):
     for k in sorted(range(len(lms)), key=lms.__getitem__):
         if all((lms[k] - lms[h]) & guard for h in kept):
             kept.append(k)
-    out = []
-    for k in reversed(kept):
-        others = [h for h in kept if h != k]
-        out.append([lms[k]] + _reduce(set(tails[k]), [lms[h] for h in others],
-                                      [tails[h] for h in others], guard))
-    return out
+    # a tail term is below its own leading term, which never divides it
+    klms, ktails = [lms[k] for k in kept], [tails[k] for k in kept]
+    return [[lms[k]] + _reduce(set(tails[k]), klms, ktails, guard)
+            for k in reversed(kept)]
 
 
 def buchberger(gens, nvars):
@@ -356,9 +361,11 @@ class QuotientRing:
     def _standard_monomials(self):
         lms = [lm(g) for g in self.gb.generators]
         caps = [None] * self.nvars
+        mixed = []  # leading terms in two or more variables
         for m in lms:
             support = [i for i, e in enumerate(m) if e]
             if len(support) > 1:
+                mixed.append(m)
                 continue
             for i in support or range(self.nvars):  # 1 caps every variable
                 if caps[i] is None or m[i] < caps[i]:
@@ -368,13 +375,14 @@ class QuotientRing:
                 raise InfiniteDimensionalError(
                     f"no pure power of X{i + 1} among leading monomials; "
                     f"quotient has infinite rank")
-        pk = _Packing(self.nvars, max(_top_degree([lms]), sum(caps)))
-        leads = [pk.encode(l) for l in lms]
-        out = []
-        for m in iter_product(*(range(c) for c in caps)):
-            packed = pk.encode(m)
-            if all((packed - lead) & pk.guard for lead in leads):
-                out.append(m)
+        # no monomial below the caps is a multiple of a pure power, so
+        # only the mixed leading terms are tested
+        out = list(iter_product(*(range(c) for c in caps)))
+        if mixed:
+            pk = _Packing(self.nvars, max(_top_degree([mixed]), sum(caps)))
+            leads = [pk.encode(l) for l in mixed]
+            out = [m for m, x in zip(out, map(pk.encode, out))
+                   if all((x - lead) & pk.guard for lead in leads)]
         out.sort(key=grevlex_key)
         return tuple(out)
 

@@ -23,7 +23,6 @@ from .errors import (
     FanoViolationError,
     NoBatyrevVectorError,
     NonGenericXiError,
-    NonUniqueBatyrevVectorError,
 )
 from .exact_linalg import (
     _gauss_jordan,
@@ -473,45 +472,46 @@ def primitive_collections(p):
                         for t in found))
 
 
+def cone_coefficients(p, w):
+    """The coefficients c, one per facet, of w = sum_k c_k v_k in the
+    first vertex cone that contains w.  A vertex's tight normals are a
+    unimodular basis, so c_{i_j} = <w_j, w>, read off its edge directions
+    (<w_j, v_{i_k}> = delta_jk) one at a time until one is negative."""
+    for v in require_delzant(p).vertices:
+        c = [0] * p.nfacets
+        for i, wk in zip(v.tight, v.edge_dirs):
+            c[i - 1] = _dot(wk, w)
+            if c[i - 1] < 0:
+                break
+        else:
+            return c
+    raise AssertionError("the vertex cones of a polytope cover its fan")
+
+
 def batyrev_vector(p, indices):
     """The relation vector a with a = 1 on I, a <= 0 off I, sum a_k v_k = 0,
     whose negative support spans a nonempty face.
 
-    w = sum_{i in I} v_i is expanded in every vertex's unimodular normal
-    basis v_{i_1}..v_{i_n}; its coefficients are c_k = <w_k, w>, read off
-    the vertex's edge directions (<w_k, v_{i_j}> = delta_kj), with no
-    solve.  An expansion with nonnegative coefficients vanishing on I
-    yields a candidate.  Vertex cones cover the fan, so the sweep is an
-    exhaustive search over all candidates and certifies uniqueness.
+    a is 1 on I and -c off I, for the coefficients c of w = sum_{i in I}
+    v_i in the first vertex cone that contains it, when c vanishes on I.
+    One cone suffices: the vertex cones of a Delzant polytope form a
+    complete simplicial fan, so w lies in the relative interior of exactly
+    one cone tau, and every vertex cone containing w has tau as a face and
+    gives the same c, supported on tau.  So the vector is unique.
     """
-    report = require_delzant(p)
-    d = p.nfacets
+    require_delzant(p)
     iset = tuple(sorted(set(indices)))
-    if not iset or any(not 1 <= i <= d for i in iset):
+    if not iset or any(not 1 <= i <= p.nfacets for i in iset):
         raise ValueError(f"facet indices out of range: {indices}")
-    w = tuple(sum(p.normals[i - 1][k] for i in iset) for k in range(p.dim))
-    found = set()
-    for v in report.vertices:
-        c = [_dot(wk, w) for wk in v.edge_dirs]
-        if any(x < 0 for x in c):
-            continue
-        if any(c[pos] != 0 for pos, i in enumerate(v.tight) if i in iset):
-            continue
-        a = [0] * d
-        for i in iset:
-            a[i - 1] = 1
-        for pos, i in enumerate(v.tight):
-            if c[pos]:
-                a[i - 1] = -c[pos]
-        found.add(tuple(a))
-    if not found:
+    w = [sum(p.normals[i - 1][k] for i in iset) for k in range(p.dim)]
+    a = [-x for x in cone_coefficients(p, w)]
+    if any(a[i - 1] for i in iset):
         raise NoBatyrevVectorError(
             f"no relation vector for collection {iset}; input is not Fano "
             f"or the facet convention is flipped")
-    if len(found) > 1:
-        raise NonUniqueBatyrevVectorError(
-            f"collection {iset} admits {len(found)} relation vectors: {sorted(found)}")
-    return found.pop()
+    for i in iset:
+        a[i - 1] = 1
+    return tuple(a)
 
 
 def quantum_degree(pc):

@@ -10,7 +10,6 @@ uniruledness certificates.
 """
 
 from collections import namedtuple
-from operator import mul
 
 from .errors import CrosscheckFailedError, NotInvertibleError
 from .f2ring import (
@@ -23,6 +22,7 @@ from .f2ring import (
 )
 from .polytope import (
     betti_numbers_L,
+    cone_coefficients,
     primitive_collection_data,
     primitive_collections,
     require_delzant,
@@ -107,34 +107,23 @@ def build_ring(p, space="L", flavor="quantum"):
         raise ValueError(f"space must be 'L' or 'M', got {space!r}")
     if flavor not in ("classical", "quantum"):
         raise ValueError(f"flavor must be 'classical' or 'quantum', got {flavor!r}")
-    report = require_delzant(p)
     lin = linear_relations(p)
     sr = quantum_sr(p) if flavor == "quantum" else classical_sr(p)
     ring = QuotientRing(lin + sr, nvars=p.nfacets)
-    ring.cache["reversed_loop"] = _reversed_loop(p, report)
+    ring.cache["reversed_loop"] = _reversed_loop(p)
     pres = Presentation(space, flavor, p.nfacets, 1 if space == "L" else 2,
                         lin, sr)
     return ring, pres
 
 
-def _reversed_loop(p, report):
-    """The nonnegative integer c with sum_k c_k v_k = -sum_k v_k.
-
-    The loop -sum_k v_k lies in some vertex cone, and is expanded in that
-    vertex's unimodular normal basis by pairing with its edge directions,
-    as in ``batyrev_vector``; the expansion is unique, so the first
-    vertex with nonnegative pairings gives c.  Since sum_k (c_k + 1) v_k
-    = 0, S_c = prod_k S_k^{c_k} is the Seidel element of the reversed
-    loop, the inverse of the product of all facet elements."""
-    s = [-sum(col) for col in zip(*p.normals)]
-    for v in report.vertices:
-        coeffs = [sum(map(mul, w, s)) for w in v.edge_dirs]
-        if min(coeffs) >= 0:
-            c = [0] * p.nfacets
-            for i, ci in zip(v.tight, coeffs):
-                c[i - 1] = ci
-            return tuple(c)
-    raise AssertionError("the vertex cones of a polytope cover its fan")
+def _reversed_loop(p):
+    """The nonnegative integer c with sum_k c_k v_k = -sum_k v_k: the
+    expansion of the loop -sum_k v_k in the first vertex cone that
+    contains it (``cone_coefficients``), unique as in ``batyrev_vector``.
+    Since sum_k (c_k + 1) v_k = 0, S_c = prod_k S_k^{c_k} is the Seidel
+    element of the reversed loop, the inverse of the product of all facet
+    elements."""
+    return tuple(cone_coefficients(p, [-sum(col) for col in zip(*p.normals)]))
 
 
 def unit(ring):

@@ -415,6 +415,44 @@ def test_json_error_report():
     assert data["error"]["code"] == "NotInvertible"
 
 
+def test_memory_error_is_a_typed_report(monkeypatch):
+    import toric_qh.cli as cli
+
+    def exhausted(ring, element):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "invert", exhausted)
+    code, out = run(["--format", "json", "invert", "X1", "blowup_cp3"])
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert data["error"] == {"code": "OutOfMemory",
+                             "message": "invert ran out of memory"}
+    code, out = run(["invert", "X1", "blowup_cp3"])
+    assert (code, out) == (1, "error[OutOfMemory]: invert ran out of memory\n")
+
+
+def test_memory_error_under_an_address_space_limit():
+    # a q-exponent spread of 10^12 asks invert for a 125 GB mask; under a
+    # 2 GB address space the allocation fails at once, and the command
+    # reports it instead of printing a traceback
+    resource = pytest.importorskip("resource")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    limit = 2 << 30
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "toric_qh", "--format", "json", "invert",
+         "X1 + q^1000000000000", "blowup_cp3"],
+        env=env, capture_output=True, text=True, preexec_fn=cap_memory,
+        timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert json.loads(proc.stdout)["error"]["code"] == "OutOfMemory"
+
+
 def test_format_from_environment(monkeypatch):
     monkeypatch.setenv("TORIC_QH_FORMAT", "json")
     code, out = run(["validate", "cp2"])

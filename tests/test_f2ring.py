@@ -1,4 +1,6 @@
 import random
+from itertools import product
+from operator import ge
 
 import pytest
 import sympy
@@ -169,9 +171,12 @@ def test_trivial_ring():
 
 
 def test_buchberger_in_no_variables():
-    # a monomial of no variables is the empty tuple, and packs as 0
+    # a monomial of no variables is the empty tuple, and packs as 0; an
+    # ideal of F2 is 0 or the unit ideal, whose copies autoreduce away
+    # (sympy takes no ideal in no variables)
     one = poly(())
-    assert buchberger((one, one), 0).generators == (one,)
+    assert buchberger((), 0).generators == ()
+    assert buchberger((one, one, one), 0).generators == (one,)
 
 
 def test_buchberger_rejects_mixed_variable_counts():
@@ -185,6 +190,24 @@ def test_rehomogenize_rejects_a_non_standard_monomial():
     assert ring.basis == ((0,), (1,))
     with pytest.raises(ValueError, match="not a standard monomial"):
         rehomogenize(poly((2,)), 2, ring)
+
+
+def test_standard_monomials_match_brute_force_on_mixed_leads():
+    # a monomial ideal is its own Groebner basis, so its standard
+    # monomials are the exponents that no generator divides; seeded ideals
+    # hold a pure power of every variable and monomials in two or more
+    rng = random.Random(26)
+    for _ in range(40):
+        powers = [tuple(rng.randint(1, 4) * (i == j) for i in range(3))
+                  for j in range(3)]
+        mixed = [tuple(rng.randrange(3) for _ in range(3))
+                 for _ in range(rng.randrange(1, 4))]
+        leads = powers + [m for m in mixed if sum(map(bool, m)) > 1]
+        ring = QuotientRing([poly(m + (0,)) for m in leads], nvars=3)
+        want = sorted((e for e in product(range(4), repeat=3)
+                       if not any(all(map(ge, e, m)) for m in leads)),
+                      key=grevlex_key)
+        assert ring.basis == tuple(want), leads
 
 
 def test_infinite_dimensional_rejected():
@@ -266,6 +289,57 @@ def test_random_affine_ideals_match_sympy(gens):
         return
     gb = buchberger(tuple(gens), nvars=2)
     assert set(gb.generators) == sympy_gb(gens, 2)
+
+
+def _times(f, g):
+    out = frozenset()
+    for a in f:
+        for b in g:
+            out ^= {tuple(x + y for x, y in zip(a, b))}
+    return out
+
+
+X, Y, Z, ONE = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+AUTOREDUCTION_CASES = {
+    # the copy reduces to zero against the first
+    "duplicate": [poly((2, 0, 0), Y), poly((0, 2, 0), Z),
+                  poly((2, 0, 0), Y)],
+    # (x + y) z^2 reduces to zero against x + y, which is smaller
+    "in the smaller ideal": [poly(X, Y), poly((0, 0, 2), Y),
+                             _times(poly(X, Y), poly((0, 0, 2)))],
+    # x z + 1 becomes y z + 1 against x + y: its leading term drops
+    "leading term changes": [poly((1, 0, 1), ONE), poly(X, Y),
+                             poly((0, 2, 0), Z)],
+    # x y + 1 becomes 1 against x
+    "unit ideal": [poly((1, 1, 0), ONE), poly(X), poly((0, 0, 2), Y)],
+}
+
+
+@pytest.mark.parametrize("case", AUTOREDUCTION_CASES)
+def test_buchberger_autoreduction_matches_sympy(case):
+    gens = AUTOREDUCTION_CASES[case]
+    gb = buchberger(gens, 3)
+    assert set(gb.generators) == sympy_gb(gens, 3)
+    leads = [grevlex_key(lm(g)) for g in gb.generators]
+    assert leads == sorted(leads, reverse=True)
+
+
+def test_buchberger_matches_sympy_on_seeded_redundant_inputs():
+    # random ideals in three variables, each given with a duplicate of a
+    # generator, a multiple of one and a sum of two, in shuffled order
+    rng = random.Random(25)
+
+    def rand_poly(degree):
+        return frozenset(tuple(rng.randrange(degree + 1) for _ in range(3))
+                         for _ in range(rng.randrange(1, 4)))
+
+    for _ in range(30):
+        gens = [rand_poly(2) for _ in range(rng.randrange(2, 4))]
+        gens += [rng.choice(gens), _times(rng.choice(gens), rand_poly(1)),
+                 gens[0] ^ gens[1]]
+        gens = [g for g in gens if g]
+        rng.shuffle(gens)
+        assert set(buchberger(gens, 3).generators) == sympy_gb(gens, 3), gens
 
 
 def test_gb_membership_via_reduction():

@@ -45,6 +45,7 @@ from toric_qh.polytope import (
     require_delzant,
     validate_delzant,
 )
+from toric_qh.qh import _reversed_loop
 
 BUILTINS = ("cp1", "cp2", "cp3", "cp4", "cp5", "cp1xcp1", "blowup_cp3")
 
@@ -543,24 +544,62 @@ def test_products_match_set_based_oracle(name):
         and all(is_face(set(s) - {i}) for i in s))
     assert list(primitive_collections(p)) == want
 
-    # Batyrev vectors: solve V^T c = sum_{i in I} v_i at every vertex
     for idx in want:
-        w = [sum(p.normals[i - 1][k] for i in idx) for k in range(n)]
-        found = set()
-        for t in tight.values():
-            cols = sorted(t)
-            c = _solve_gauss([[p.normals[i - 1][k] for i in cols]
-                              for k in range(n)], w)
-            assert all(x.denominator == 1 for x in c)  # unimodular cone
-            if any(x < 0 for x in c) or any(c[pos] for pos, i in
-                                            enumerate(cols) if i in idx):
-                continue
-            a = [1 if i in idx else 0 for i in range(1, d + 1)]
-            for pos, i in enumerate(cols):
-                if c[pos]:
-                    a[i - 1] = -c[pos].numerator
+        assert _oracle_batyrev_vectors(p, tight, idx) == \
+            {batyrev_vector(p, idx)}
+
+
+def _oracle_cone_expansions(p, tight, w):
+    """Every expansion w = sum_{i in T} c_i v_i with c >= 0 over the
+    oracle's tight sets T, as length-d tuples: V_T^T c = w solved in
+    Fractions at every vertex."""
+    found = set()
+    for t in tight.values():
+        cols = sorted(t)
+        c = _solve_gauss([[p.normals[i - 1][k] for i in cols]
+                          for k in range(p.dim)], w)
+        assert all(x.denominator == 1 for x in c)  # unimodular cone
+        if min(c) >= 0:
+            a = [0] * len(p.normals)
+            for i, x in zip(cols, c):
+                a[i - 1] = x.numerator
             found.add(tuple(a))
-        assert found == {batyrev_vector(p, idx)}
+    return found
+
+
+def _oracle_batyrev_vectors(p, tight, idx):
+    """Every relation vector of the collection idx: 1 on idx, -c off it,
+    for each expansion c of sum_{i in idx} v_i that vanishes on idx."""
+    w = [sum(p.normals[i - 1][k] for i in idx) for k in range(p.dim)]
+    return {tuple(1 if i in idx else -x for i, x in enumerate(c, start=1))
+            for c in _oracle_cone_expansions(p, tight, w)
+            if not any(c[i - 1] for i in idx)}
+
+
+def _oracle_corpus(perfbench_module):
+    """(label, polytope) for every builtin and every perfbench base."""
+    bases = perfbench_module("inputs").named_bases()
+    return [(f"builtin {name}", builtin_polytope(name)) for name in BUILTINS] \
+        + [(f"base {name}", Polytope.from_facets(b.dim, b.facets))
+           for name, b in bases.items()]
+
+
+def test_batyrev_vectors_match_per_vertex_oracle(perfbench_module):
+    # batyrev_vector reads the first vertex cone that holds w; the oracle
+    # solves at every vertex, and exactly one candidate must survive
+    for label, p in _oracle_corpus(perfbench_module):
+        tight = _oracle_tight_sets(p)
+        for pc in primitive_collection_data(p):
+            assert _oracle_batyrev_vectors(p, tight, pc.indices) == \
+                {pc.batyrev}, (label, pc.indices)
+
+
+def test_reversed_loop_matches_per_vertex_oracle(perfbench_module):
+    # the one c >= 0 with sum_k c_k v_k = -sum_k v_k, over every vertex
+    for label, p in _oracle_corpus(perfbench_module):
+        w = [-sum(col) for col in zip(*p.normals)]
+        assert _oracle_cone_expansions(p, _oracle_tight_sets(p), w) == \
+            {_reversed_loop(p)}, label
 
 
 def _translate(p, shift):
